@@ -1,7 +1,7 @@
-"""Detect-stage speedup: the retained quadratic reference vs the sweep line.
+"""Detect-stage speedup: the quadratic oracle vs the sweep line.
 
-The legacy detector (`NaiveHappensBeforeDetector`, the seed algorithm)
-examines every region pair with an ``overlaps`` check and re-materializes
+The oracle (`NaiveHappensBeforeDetector` in ``tests/oracles``, the seed
+algorithm) examines every region pair with an ``overlaps`` check and re-materializes
 per-region access lists on each call — O(R^2) in the region count.  The
 sweep-line detector walks the shared columnar ``AccessIndex`` in opening-
 timestamp order and only examines genuinely overlapping, address-sharing
@@ -24,6 +24,9 @@ the race-set equivalence gate, not the timing gate.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 from conftest import (
     DETECT_QUICK_SIZES,
     DETECT_SIZES,
@@ -33,13 +36,14 @@ from conftest import (
     write_result,
 )
 from repro.isa import assemble
-from repro.race.happens_before import (
-    HappensBeforeDetector,
-    NaiveHappensBeforeDetector,
-)
+from repro.race.happens_before import HappensBeforeDetector
 from repro.record import record_run
 from repro.replay import OrderedReplay
 from repro.vm import RandomScheduler
+
+# The oracle lives with the tests (nothing under src/ imports it).
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import NaiveHappensBeforeDetector  # noqa: E402
 
 #: Two independent racy pairs: regions of the a/b threads never share an
 #: address with regions of the c/d threads, so the benchmark exercises

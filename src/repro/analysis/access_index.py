@@ -331,6 +331,10 @@ class AccessIndex:
             self._by_address[ordinal] = grouped
         return grouped
 
+    def retire(self, ordinal: int) -> None:
+        """Nothing to drop: the batch index stays whole after the sweep
+        passes a region (classification reads it after detection)."""
+
     def regions_touching(self, address: int) -> List[int]:
         """Ascending ordinals of regions touching ``address``."""
         return self.postings.get(address, [])
@@ -346,160 +350,24 @@ class AccessIndex:
 
 
 class StreamingAccessWindow:
-    """Bounded-memory region store for the streaming sweep.
+    """Row-fed region store for the region-at-a-time sweep.
 
-    The streaming analog of :class:`AccessIndex`: regions are *admitted*
-    one at a time (in opening-timestamp order, fed by the segment
-    cursor) with their captured rows, grouped by address exactly as
-    :meth:`AccessIndex.by_address` would group them, and *retired* as
-    soon as the sweep expires them — so resident state is the active
-    overlap window, not the trace.  Ordinals are assigned in admission
-    order; only the *relative* order matters to the detector's
-    ``sorted(candidates)``, and it matches the batch index's ordinal
-    order over the same regions.
+    The streaming path (regions released by the segment cursor) and the
+    partition workers of the parallel path both feed the sweep one region
+    at a time, in opening-timestamp order, with the region's captured
+    rows.  This store keeps exactly what the sweep reads from
+    :class:`AccessIndex` — ``regions[ordinal]``/``addresses_of``/
+    ``by_address`` over store-local ordinals — but rows stay as captured
+    tuples and are grouped into :class:`~repro.replay.events.ReplayedAccess`
+    objects lazily, only for regions the sweep actually pairs up, and a
+    region is dropped as soon as the sweep expires it (:meth:`retire`).
+    Resident state is the active overlap window, not the trace.
 
-    Regions whose rows contain no plain (non-sync) access are not
-    admitted at all (``admit`` returns ``None``): the batch sweep skips
-    them before touching any per-region state, so dropping them here is
-    order-isomorphic.
-    """
-
-    __slots__ = (
-        "_regions",
-        "_grouped",
-        "_addresses",
-        "_next_ordinal",
-        "_perf",
-        "_resident",
-        "peak_resident_regions",
-        "peak_resident_accesses",
-        "accesses",
-        "writes",
-        "retired",
-        "_seen_addresses",
-    )
-
-    def __init__(self, perf=None):
-        self._regions: Dict[int, SequencingRegion] = {}
-        self._grouped: Dict[int, Dict[int, List[ReplayedAccess]]] = {}
-        self._addresses: Dict[int, Tuple[int, ...]] = {}
-        self._next_ordinal = 0
-        self._perf = perf
-        self._resident = 0
-        self.peak_resident_regions = 0
-        self.peak_resident_accesses = 0
-        self.accesses = 0
-        self.writes = 0
-        self.retired = 0
-        self._seen_addresses: Dict[int, None] = {}
-
-    # -- lifecycle ------------------------------------------------------
-
-    def admit(self, region: SequencingRegion, rows) -> Optional[int]:
-        """Store one region's rows; returns its ordinal, or ``None`` when
-        the region carries no plain access (not admitted).
-
-        ``rows`` are ``(step, flag, address, value, static_id)`` tuples
-        in step order, already bounded to the region's step range; sync
-        rows (``flag & 2``) are filtered here, mirroring
-        :meth:`AccessIndex._fill_region_from_columns`.
-        """
-        grouped: Dict[int, List[ReplayedAccess]] = {}
-        addresses: Dict[int, None] = {}
-        count = 0
-        for step, flag, address, value, static_id in rows:
-            if flag & 2:
-                continue
-            access = ReplayedAccess(
-                thread_step=step,
-                static_id=static_id,
-                address=address,
-                value=value,
-                is_write=bool(flag & 1),
-                is_sync=False,
-            )
-            grouped.setdefault(address, []).append(access)
-            addresses[address] = None
-            count += 1
-            if flag & 1:
-                self.writes += 1
-            self._seen_addresses[address] = None
-        if not grouped:
-            return None
-        ordinal = self._next_ordinal
-        self._next_ordinal += 1
-        self._regions[ordinal] = region
-        self._grouped[ordinal] = grouped
-        self._addresses[ordinal] = tuple(addresses)
-        self.accesses += count
-        self._resident += count
-        if len(self._regions) > self.peak_resident_regions:
-            self.peak_resident_regions = len(self._regions)
-        if self._resident > self.peak_resident_accesses:
-            self.peak_resident_accesses = self._resident
-        return ordinal
-
-    def retire(self, ordinal: int) -> None:
-        """Drop a region's resident state (the sweep expired it)."""
-        grouped = self._grouped.pop(ordinal, None)
-        if grouped is None:
-            return
-        self._resident -= sum(len(accesses) for accesses in grouped.values())
-        del self._regions[ordinal]
-        del self._addresses[ordinal]
-        self.retired += 1
-
-    # -- the detector-facing surface ------------------------------------
-
-    def region(self, ordinal: int) -> SequencingRegion:
-        return self._regions[ordinal]
-
-    def by_address(self, ordinal: int) -> Dict[int, List[ReplayedAccess]]:
-        return self._grouped[ordinal]
-
-    def addresses_of(self, ordinal: int) -> Tuple[int, ...]:
-        return self._addresses[ordinal]
-
-    @property
-    def admitted(self) -> int:
-        """Regions admitted so far (= ordinals handed out)."""
-        return self._next_ordinal
-
-    @property
-    def resident_regions(self) -> int:
-        return len(self._regions)
-
-    def stats(self) -> Dict[str, int]:
-        """Cumulative counters, shape-compatible with
-        :meth:`AccessIndex.stats` (``regions`` counts admitted —
-        access-bearing — regions; the batch index also numbers sync-only
-        ones)."""
-        return {
-            "regions": self.admitted,
-            "accesses": self.accesses,
-            "addresses": len(self._seen_addresses),
-            "writes": self.writes,
-        }
-
-
-class PartitionAccessIndex:
-    """One worker's slice of the access index for the partitioned sweep.
-
-    The parallel detect path hands each worker a contiguous v4 segment
-    range; the worker reconstructs the regions *opening* inside its
-    range (owned) plus the still-active regions straddling in from
-    earlier ranges (preloads), and feeds them here in opening-timestamp
-    order.  The surface mirrors what the sweep reads from
-    :class:`AccessIndex` — ``regions``/``addresses_of``/``by_address``
-    over worker-local ordinals — but rows stay as captured tuples and
-    the rich :class:`~repro.replay.events.ReplayedAccess` objects are
-    grouped lazily, only for regions the sweep actually pairs up (most
-    regions never conflict, so most objects are never built).
-
-    Owned-region totals accumulate separately from preloads so the
-    parent can sum per-worker ``owned_stats`` into exactly the numbers
-    :meth:`AccessIndex.stats` reports for the whole log: each region is
-    owned by exactly one worker.
+    :meth:`stats` counts regions the way :meth:`AccessIndex.stats` does:
+    every admitted region, including those whose rows hold no plain
+    access (the sweep never sees those).  Regions admitted with
+    ``counted=False`` — a partition worker's straddlers, which the worker
+    owning them counts — join the sweep but not the totals.
     """
 
     __slots__ = (
@@ -507,33 +375,34 @@ class PartitionAccessIndex:
         "_rows",
         "_addresses",
         "_grouped",
-        "owned_regions",
-        "owned_accesses",
-        "owned_writes",
-        "owned_addresses",
+        "_next_ordinal",
+        "region_count",
+        "access_count",
+        "write_count",
+        "address_set",
     )
 
     def __init__(self) -> None:
-        #: Admitted regions in opening-timestamp order (preloads first —
-        #: every straddler opens before every owned region).
-        self.regions: List[SequencingRegion] = []
-        self._rows: List[list] = []
-        self._addresses: List[Tuple[int, ...]] = []
-        self._grouped: List[Optional[Dict[int, List[ReplayedAccess]]]] = []
-        self.owned_regions = 0
-        self.owned_accesses = 0
-        self.owned_writes = 0
-        self.owned_addresses: Dict[int, None] = {}
+        #: ordinal -> region, for the regions still resident.
+        self.regions: Dict[int, SequencingRegion] = {}
+        self._rows: Dict[int, list] = {}
+        self._addresses: Dict[int, Tuple[int, ...]] = {}
+        self._grouped: Dict[int, Dict[int, List[ReplayedAccess]]] = {}
+        self._next_ordinal = 0
+        self.region_count = 0
+        self.access_count = 0
+        self.write_count = 0
+        #: Distinct addresses of the counted regions' plain accesses.
+        self.address_set: Dict[int, None] = {}
 
-    def add_region(self, region: SequencingRegion, rows, owned: bool) -> Optional[int]:
-        """Admit one region's captured rows; ``None`` when it carries no
-        plain access (the sweep would skip it before touching state).
+    def admit(self, region: SequencingRegion, rows, counted: bool = True) -> Optional[int]:
+        """Store one region's rows; returns its ordinal, or ``None`` when
+        the region carries no plain access (the sweep would skip it).
 
-        ``rows`` are ``(step, flag, address, value, static_id)`` tuples
-        in step order; sync rows (``flag & 2``) are filtered here, the
-        same filter :meth:`AccessIndex._fill_region_from_columns`
-        applies.  Owned regions count toward the worker's share of the
-        log-wide stats whether or not they are admitted.
+        ``rows`` are ``(step, flag, address, value, static_id)`` tuples in
+        step order, already bounded to the region's step range; sync rows
+        (``flag & 2``) are filtered here, the same filter
+        :meth:`AccessIndex._fill_region_from_columns` applies.
         """
         plain = []
         append = plain.append
@@ -547,19 +416,26 @@ class PartitionAccessIndex:
             addresses[row[2]] = None
             if flag & 1:
                 writes += 1
-        if owned:
-            self.owned_regions += 1
-            self.owned_accesses += len(plain)
-            self.owned_writes += writes
-            self.owned_addresses.update(addresses)
+        if counted:
+            self.region_count += 1
+            self.access_count += len(plain)
+            self.write_count += writes
+            self.address_set.update(addresses)
         if not plain:
             return None
-        ordinal = len(self.regions)
-        self.regions.append(region)
-        self._rows.append(plain)
-        self._addresses.append(tuple(addresses))
-        self._grouped.append(None)
+        ordinal = self._next_ordinal
+        self._next_ordinal += 1
+        self.regions[ordinal] = region
+        self._rows[ordinal] = plain
+        self._addresses[ordinal] = tuple(addresses)
         return ordinal
+
+    def retire(self, ordinal: int) -> None:
+        """Drop a region's resident state (the sweep expired it)."""
+        del self.regions[ordinal]
+        del self._rows[ordinal]
+        del self._addresses[ordinal]
+        self._grouped.pop(ordinal, None)
 
     # -- the detector-facing surface ------------------------------------
 
@@ -570,9 +446,9 @@ class PartitionAccessIndex:
     def by_address(self, ordinal: int) -> Dict[int, List[ReplayedAccess]]:
         """A region's accesses grouped by address (step order preserved),
         materialized to :class:`ReplayedAccess` on first query."""
-        grouped = self._grouped[ordinal]
+        grouped = self._grouped.get(ordinal)
         if grouped is None:
-            grouped = {}
+            grouped = self._grouped[ordinal] = {}
             for step, flag, address, value, static_id in self._rows[ordinal]:
                 grouped.setdefault(address, []).append(
                     ReplayedAccess(
@@ -584,18 +460,16 @@ class PartitionAccessIndex:
                         is_sync=False,
                     )
                 )
-            self._grouped[ordinal] = grouped
         return grouped
 
-    def owned_stats(self) -> Dict[str, object]:
-        """This worker's share of the log-wide :meth:`AccessIndex.stats`
-        aggregates (``addresses`` is the owned address *set*: distinct
-        addresses only union correctly across workers)."""
+    def stats(self) -> Dict[str, int]:
+        """Cumulative counters, equal to :meth:`AccessIndex.stats` over the
+        same counted regions."""
         return {
-            "regions": self.owned_regions,
-            "accesses": self.owned_accesses,
-            "writes": self.owned_writes,
-            "addresses": frozenset(self.owned_addresses),
+            "regions": self.region_count,
+            "accesses": self.access_count,
+            "addresses": len(self.address_set),
+            "writes": self.write_count,
         }
 
 

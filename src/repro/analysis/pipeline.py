@@ -110,8 +110,8 @@ def analyze_execution(
     ``classifier_factory(ordered, classifier_config, execution_id)`` lets
     the classification engine substitute its memoizing classifier;
     ``detector_factory(ordered, max_pairs_per_location)`` substitutes the
-    race detector (the equivalence tests pass the retained naive
-    reference); ``perf`` accumulates per-stage wall time and work
+    race detector (the equivalence tests pass a quadratic oracle, the
+    parallel path a file-partitioned sweep); ``perf`` accumulates per-stage wall time and work
     counters; ``cache`` (a :class:`repro.analysis.cache.SuiteCache`)
     serves the record stage by content address when the same execution
     was recorded before; ``replay_fast_path=False`` forces the generic
@@ -320,8 +320,6 @@ def analyze_log_stream(
         )
     else:
         classifier = classifier_factory(ordered, classifier_config, execution_id)
-    from ..race.happens_before import StreamingHappensBeforeDetector
-
     with stats.stage("detect.view"):
         from ..record.binary_format import is_binary_log
 
@@ -334,7 +332,7 @@ def analyze_log_stream(
             view = StreamingLogView.from_log(
                 log, perf=stats, segment_bytes=segment_bytes
             )
-    detector = StreamingHappensBeforeDetector(
+    detector = HappensBeforeDetector(
         max_pairs_per_location=max_pairs_per_location, perf=stats
     )
     view.attach_window(detector.window)
@@ -383,10 +381,12 @@ class DetectionAnalysis:
     """Everything produced by a detect-only pass over one log.
 
     ``source`` is whatever object fed the detector — a zero-replay
-    :class:`~repro.replay.log_view.LogView` (``path == "from-log"``) or a
-    full :class:`OrderedReplay` (``path == "replay"``).  Both expose
-    ``program`` (lazily assembled on the view), so race presentation
-    works identically downstream.
+    :class:`~repro.replay.log_view.LogView` (``path == "from-log"``), a
+    full :class:`OrderedReplay` (``path == "replay"``, the fallback for
+    logs without captured columns), a
+    :class:`~repro.replay.log_view.StreamingLogView` or a
+    :class:`ParallelLogView`.  All expose ``program`` (lazily assembled),
+    so race presentation works identically downstream.
     """
 
     execution_id: str
@@ -431,7 +431,6 @@ def detect_only(
     * ``"from-log"`` — the zero-replay :class:`LogView` path; raises
       :class:`~repro.replay.log_view.LogViewUnavailable` when the log has
       no captured columns (v1/v2, or v3 without capture).
-    * ``"replay"`` — the historical :class:`OrderedReplay` path.
     * ``"stream"`` — the segmented streaming path: regions sweep through
       the incremental detector as segments decode, with resident state
       bounded by the active window (v4 files stream frame by frame;
@@ -441,17 +440,19 @@ def detect_only(
       across ``jobs`` worker processes, each mmap-reading only its own
       range; raises :class:`ValueError` for anything but a v4 container.
     * ``"auto"`` (default) — parallel for v4 sources when ``jobs > 1``,
-      else from-log when the log supports it, replay otherwise.
+      else from-log when the log supports it, else a full
+      :class:`OrderedReplay` (``path == "replay"``).
 
-    Race sets are byte-identical between all paths (the equivalence
-    suite enforces it); they differ only in cost profile.
+    Every path feeds the same sweep, so race sets are byte-identical
+    between them (the equivalence suite enforces it); they differ only
+    in cost profile.
     """
     from ..replay.log_view import LogView, LogViewUnavailable
 
-    if mode not in ("auto", "from-log", "replay", "stream", "parallel"):
+    if mode not in ("auto", "from-log", "stream", "parallel"):
         raise ValueError(
-            "unknown detect mode %r (expected auto, from-log, replay, "
-            "stream or parallel)" % mode
+            "unknown detect mode %r (expected auto, from-log, stream or "
+            "parallel)" % mode
         )
     if jobs < 1:
         raise ValueError("detect jobs must be >= 1 (got %d)" % jobs)
@@ -482,17 +483,16 @@ def detect_only(
     stats = perf if perf is not None else PerfStats()
     detect_source = None
     path = "replay"
-    if mode in ("auto", "from-log"):
-        try:
-            with stats.stage("detect.view"):
-                if isinstance(source, (bytes, bytearray, memoryview)):
-                    detect_source = LogView.from_bytes(bytes(source), perf=stats)
-                else:
-                    detect_source = LogView.from_log(source, perf=stats)
-            path = "from-log"
-        except LogViewUnavailable:
-            if mode == "from-log":
-                raise
+    try:
+        with stats.stage("detect.view"):
+            if isinstance(source, (bytes, bytearray, memoryview)):
+                detect_source = LogView.from_bytes(bytes(source), perf=stats)
+            else:
+                detect_source = LogView.from_log(source, perf=stats)
+        path = "from-log"
+    except LogViewUnavailable:
+        if mode == "from-log":
+            raise
     if detect_source is None:
         if isinstance(source, (bytes, bytearray, memoryview)):
             from ..record.serialization import load_log_bytes
@@ -511,24 +511,15 @@ def detect_only(
         instances = detector.detect()
     stats.executions += 1
     stats.instances += len(instances)
-    program_name = (
-        detect_source.program_name
-        if path == "from-log"
-        else detect_source.log.program_name
-    )
-    seed = detect_source.seed if path == "from-log" else detect_source.log.seed
-    scheduler = (
-        detect_source.scheduler
-        if path == "from-log"
-        else detect_source.log.scheduler
-    )
+    # The view carries the log's identity fields; a replay carries the log.
+    identity = detect_source if path == "from-log" else detect_source.log
     if execution_id is None:
-        execution_id = "%s#s%d" % (program_name, seed)
+        execution_id = "%s#s%d" % (identity.program_name, identity.seed)
     return DetectionAnalysis(
         execution_id=execution_id,
-        program_name=program_name,
-        seed=seed,
-        scheduler=scheduler,
+        program_name=identity.program_name,
+        seed=identity.seed,
+        scheduler=identity.scheduler,
         path=path,
         source=detect_source,
         instances=instances,
@@ -546,13 +537,12 @@ def _detect_streaming(
 ) -> DetectionAnalysis:
     """The ``mode="stream"`` body of :func:`detect_only`.
 
-    Drives the segment cursor into the incremental sweep; the final race
+    Drives the segment cursor into the sweep region by region; the final race
     set is byte-identical to the batch paths, but peak resident state is
     the active window and instances existed incrementally along the way
     (``detect_only`` callers just see the end result — the eager
     classification engine consumes the increments).
     """
-    from ..race.happens_before import StreamingHappensBeforeDetector
     from ..replay.log_view import StreamingLogView
 
     stats = perf if perf is not None else PerfStats()
@@ -565,7 +555,7 @@ def _detect_streaming(
             view = StreamingLogView.from_log(
                 source, perf=stats, segment_bytes=segment_bytes
             )
-    detector = StreamingHappensBeforeDetector(
+    detector = HappensBeforeDetector(
         max_pairs_per_location=max_pairs_per_location, perf=stats
     )
     view.attach_window(detector.window)

@@ -132,22 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the detect-stage breakdown (index/sweep time, pair pruning)",
     )
-    detect.add_argument(
-        "--naive",
-        action="store_true",
-        help="use the retained quadratic reference detector instead of the sweep line",
-    )
     detect_path = detect.add_mutually_exclusive_group()
     detect_path.add_argument(
         "--from-log",
         action="store_true",
         help="require the zero-replay path (error if the log has no "
-        "captured columns; default picks it automatically when available)",
-    )
-    detect_path.add_argument(
-        "--full-replay",
-        action="store_true",
-        help="force the historical ordered-replay path",
+        "captured columns; default picks it automatically when available "
+        "and replays otherwise)",
     )
     detect_path.add_argument(
         "--stream",
@@ -633,57 +624,39 @@ def _cmd_replay(args, out) -> int:
 def _cmd_detect(args, out) -> int:
     from .analysis.perf import PerfStats
     from .analysis.pipeline import detect_only
-    from .race.happens_before import NaiveHappensBeforeDetector
 
-    if args.naive and (args.from_log or args.stream):
-        raise ValueError(
-            "--naive needs thread replays and cannot run on the zero-replay "
-            "path; drop --naive or the --from-log/--stream flag"
-        )
     # --jobs (at any value) picks the batch sweep; --stream picks the
-    # segment-streaming path — they are different detectors, so naming
-    # both is a contradiction even for --jobs 1.
+    # segment-streaming feed — naming both is a contradiction even for
+    # --jobs 1.
     if args.jobs is not None and args.stream:
         raise ValueError(
             "--jobs and --stream are mutually exclusive; drop one of them"
         )
     jobs = args.jobs if args.jobs is not None else 1
-    if jobs > 1 and (args.naive or args.from_log or args.full_replay):
+    if jobs > 1 and args.from_log:
         raise ValueError(
             "--jobs above 1 selects the parallel segment-fanout path and "
             "cannot be combined with an explicit path flag; drop --jobs or "
-            "the --naive/--from-log/--full-replay flag"
+            "the --from-log flag"
         )
-    perf = PerfStats()
-    if args.naive:
-        log = load_log(args.log)
-        ordered = OrderedReplay(log)
-        with perf.stage("detect"):
-            detector = NaiveHappensBeforeDetector(ordered)
-            instances = detector.detect()
-        source = ordered
-        path = "replay (naive reference)"
+    if args.stream:
+        mode = "stream"
+    elif args.from_log:
+        mode = "from-log"
+    elif jobs > 1:
+        # Explicitly parallel (not auto) so a container the fanout
+        # cannot partition errors loudly instead of silently running
+        # the serial sweep the user asked to spread out.
+        mode = "parallel"
     else:
-        if args.stream:
-            mode = "stream"
-        elif args.from_log:
-            mode = "from-log"
-        elif args.full_replay:
-            mode = "replay"
-        elif jobs > 1:
-            # Explicitly parallel (not auto) so a container the fanout
-            # cannot partition errors loudly instead of silently running
-            # the serial sweep the user asked to spread out.
-            mode = "parallel"
-        else:
-            mode = "auto"
-        # The path (not its bytes) goes to the pipeline so the parallel
-        # fanout can mmap segments in the workers without the parent ever
-        # materializing the full log; serial modes read it themselves.
-        analysis = detect_only(args.log, mode=mode, perf=perf, jobs=jobs)
-        instances = analysis.instances
-        source = analysis.source
-        path = analysis.path
+        mode = "auto"
+    perf = PerfStats()
+    # The path (not its bytes) goes to the pipeline so the parallel
+    # fanout can mmap segments in the workers without the parent ever
+    # materializing the full log; serial modes read it themselves.
+    analysis = detect_only(args.log, mode=mode, perf=perf, jobs=jobs)
+    instances = analysis.instances
+    source = analysis.source
     unique = {instance.static_key for instance in instances}
     print(
         "%d race instance(s), %d unique static race(s)"
@@ -700,7 +673,7 @@ def _cmd_detect(args, out) -> int:
             file=out,
         )
     if args.perf:
-        print("detect path: %s" % path, file=out)
+        print("detect path: %s" % analysis.path, file=out)
         index_stats = source.access_index().stats()
         print(
             "access index: %d regions, %d accesses, %d addresses, %d writes"

@@ -6,11 +6,7 @@ from .aggregate import StaticRaceResult, aggregate_instances, merge_results
 from .classifier import ClassifierConfig, RaceClassifier
 from .database import RaceDatabase, RaceRecord
 from .exporter import export_results, result_to_json, results_to_json
-from .happens_before import (
-    HappensBeforeDetector,
-    NaiveHappensBeforeDetector,
-    find_races,
-)
+from .happens_before import HappensBeforeDetector, find_races
 from .heuristics import BenignCategory, categorize, categorize_all
 from .linearize import LinearEvent, linearize
 from .lockset import LocksetDetector, LocksetWarning, LocationState, lockset_warnings
@@ -50,7 +46,6 @@ __all__ = [
     "result_to_json",
     "results_to_json",
     "HappensBeforeDetector",
-    "NaiveHappensBeforeDetector",
     "find_races",
     "BenignCategory",
     "categorize",

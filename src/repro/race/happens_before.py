@@ -7,30 +7,30 @@ two operations in the global synchronization order, every reported pair is
 a true unordered conflict — **no false positives**, the property the paper
 chose the happens-before algorithm for.
 
-Two detectors implement the same definition:
+One detector implements the definition: :class:`HappensBeforeDetector`, a
+**sweep line** over region opening/closing sequencer timestamps.  Regions
+enter an active set at their opening timestamp and expire at their closing
+one, so only genuinely overlapping pairs are ever examined; within the
+active set, candidate partners are found through per-address sets instead
+of scanning every active region.  Work is proportional to overlap and
+address sharing, not to the square of the region count.
 
-* :class:`HappensBeforeDetector` — the production engine: a **sweep line**
-  over region opening/closing sequencer timestamps.  Regions enter an
-  active set at their opening timestamp and expire at their closing one,
-  so only genuinely overlapping pairs are ever examined; within the
-  active set, candidate partners are found through the per-address
-  postings of the shared columnar :class:`AccessIndex` instead of
-  scanning every active region.  Work is proportional to overlap and
-  address sharing, not to the square of the region count.
-* :class:`NaiveHappensBeforeDetector` — the seed's quadratic region-pair
-  loop with an ``overlaps`` check per pair, retained verbatim as the
-  executable reference.  The equivalence tests and
-  ``benchmarks/bench_detect_scaling.py`` hold the sweep line to
-  byte-identical output (instances, ordering, truncation counters)
-  against it.
+What varies is only how regions are fed to the loop:
 
-The sweep-line detector consumes only ``ordered.access_index()``, so its
-``ordered`` argument may be a full :class:`OrderedReplay` *or* the
-zero-replay :class:`~repro.replay.log_view.LogView` — race sets are
-byte-identical either way (the equivalence suite enforces it).  The
-naive reference additionally needs ``thread_replays`` and therefore
-always takes a real :class:`OrderedReplay`; the test suite
-cross-validates both against the full machine trace.
+* **batch** — :meth:`HappensBeforeDetector.detect` walks the columnar
+  :class:`~repro.analysis.access_index.AccessIndex` of its ``ordered``
+  argument, a full :class:`OrderedReplay` *or* the zero-replay
+  :class:`~repro.replay.log_view.LogView`;
+* **stream** — :meth:`HappensBeforeDetector.add_region` takes the regions a
+  :class:`~repro.replay.log_view.SegmentCursor` releases, one at a time,
+  and returns the races each one completes;
+* **partition** — :func:`parallel_detect_races` hands each worker a
+  contiguous segment range; the worker feeds its owned regions the same
+  way, with the regions straddling in from earlier ranges preloaded.
+
+Race sets — instances, order and truncation counters — are byte-identical
+across the feeds; the test suite holds every one of them to a quadratic
+region-pair oracle.
 """
 
 from __future__ import annotations
@@ -43,46 +43,206 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..replay.events import ReplayedAccess
-from ..replay.log_view import LogView, LogViewUnavailable
+from ..replay.log_view import LogView
 from ..replay.ordered_replay import OrderedReplay
-from ..replay.regions import SequencingRegion, overlaps
+from ..replay.regions import SequencingRegion
 from .model import RaceAccess, RaceInstance
 
 
-class _DetectorBase:
-    """Shared conflict enumeration and canonical output ordering.
+def sort_canonically(instances: List[RaceInstance]) -> List[RaceInstance]:
+    """Sort ``instances`` in place into the canonical report order.
+
+    The key is total, so enumeration order never leaks into the output:
+    any feed of the sweep (or any concatenation of partition results)
+    sorts to the same list.
+    """
+    instances.sort(
+        key=lambda instance: (
+            instance.region_a.start_ts,
+            instance.region_b.start_ts,
+            instance.access_a.thread_step,
+            instance.access_b.thread_step,
+            instance.address,
+        )
+    )
+    return instances
+
+
+class HappensBeforeDetector:
+    """The sweep-line happens-before detector.
+
+    Regions are visited in opening-timestamp order.  A region expires from
+    the active set once its closing timestamp is at or before the sweep
+    position — exactly the negation of the strict
+    :func:`~repro.replay.regions.overlaps` definition — so the active set
+    holds precisely the earlier-opening regions that overlap the entering
+    one.  Candidate partners are the active regions sharing at least one
+    address with the entering region, found by union over the entering
+    region's addresses in the active per-address sets.
+
+    :meth:`detect` sweeps the access index of ``ordered``;
+    :meth:`add_region` sweeps row-fed regions one at a time through
+    :attr:`window` (a
+    :class:`~repro.analysis.access_index.StreamingAccessWindow`, which
+    retires expired regions as the sweep passes them).  Both end in
+    :meth:`finish`, which returns the canonically ordered race set.  A
+    detector sweeps one execution once.
 
     ``max_pairs_per_location`` caps the number of instance pairs reported
     per (region pair, address) so that adversarial loops cannot explode
     the instance count; the cap is reported via ``truncated_locations``.
-    Both detectors share this code, so the cap semantics cannot drift
-    between the sweep line and the reference.
+    ``perf`` (a :class:`repro.analysis.perf.PerfStats`) receives the
+    detect-stage breakdown: index/sweep wall time, regions swept, pairs
+    examined vs. the quadratic pair count an all-pairs loop would visit.
     """
 
     def __init__(
         self,
-        ordered: "OrderedReplay | LogView",
+        ordered: "OrderedReplay | LogView | None" = None,
         max_pairs_per_location: Optional[int] = 256,
+        perf=None,
     ):
+        # Local import: the analysis package imports this module.
+        from ..analysis.access_index import StreamingAccessWindow
+
         self.ordered = ordered
         self.max_pairs_per_location = max_pairs_per_location
+        self.perf = perf
         self.truncated_locations = 0
+        #: Regions swept, candidate pairs examined, and straddlers
+        #: preloaded without being swept.
+        self.swept = 0
+        self.examined = 0
+        self.preloaded = 0
+        #: Instances in enumeration order (:meth:`finish` sorts them).
+        self.instances: List[RaceInstance] = []
+        #: The row-fed region store behind :meth:`add_region`.
+        self.window = StreamingAccessWindow()
+        self._store = None
+        #: Min-heap of (end_ts, ordinal) over currently active regions.
+        self._expiry: List[Tuple[int, int]] = []
+        #: address -> ordinals of active regions touching it.
+        self._active_by_address: Dict[int, Set[int]] = defaultdict(set)
+        self._last_start_ts: Optional[int] = None
 
-    def detect(self) -> List[RaceInstance]:  # pragma: no cover - interface
-        raise NotImplementedError
+    # -- the feeds ------------------------------------------------------
 
-    @staticmethod
-    def _sort_canonically(instances: List[RaceInstance]) -> List[RaceInstance]:
-        instances.sort(
-            key=lambda instance: (
-                instance.region_a.start_ts,
-                instance.region_b.start_ts,
-                instance.access_a.thread_step,
-                instance.access_b.thread_step,
-                instance.address,
+    def detect(self) -> List[RaceInstance]:
+        """All race instances in the replayed execution, canonically ordered."""
+        perf = self.perf
+        if perf is not None:
+            with perf.stage("detect.index"):
+                index = self.ordered.access_index()
+            with perf.stage("detect.sweep"):
+                self._sweep_index(index)
+        else:
+            self._sweep_index(self.ordered.access_index())
+        return self.finish()
+
+    def _sweep_index(self, index) -> None:
+        self._store = index
+        for ordinal in range(index.region_count):
+            self._sweep(index, ordinal)
+
+    def add_region(
+        self, region: SequencingRegion, rows, preload: bool = False
+    ) -> List[RaceInstance]:
+        """Sweep one row-fed region; returns the race instances it completed.
+
+        ``rows`` are the region's captured ``(step, flag, address, value,
+        static_id)`` tuples (sync rows are filtered by the window).
+        Regions must arrive in strictly increasing ``start_ts`` order —
+        the segment cursor's release order.  ``preload`` marks a partition
+        worker's straddler: it enters the active set and pairs up with
+        later regions, but is neither swept nor counted in the window's
+        stats (the worker owning its range sweeps and counts it).
+        """
+        if self._last_start_ts is not None and region.start_ts <= self._last_start_ts:
+            raise ValueError(
+                "sweep fed out of order: region %s opens at ts %d, "
+                "after ts %d was already swept"
+                % (region, region.start_ts, self._last_start_ts)
             )
-        )
-        return instances
+        self._last_start_ts = region.start_ts
+        self._store = window = self.window
+        ordinal = window.admit(region, rows, counted=not preload)
+        if ordinal is None:
+            return []
+        return self._sweep(window, ordinal, preload)
+
+    # -- the sweep loop -------------------------------------------------
+
+    def _sweep(self, store, ordinal: int, preload: bool = False) -> List[RaceInstance]:
+        """One sweep step: expire, find candidates, emit, activate.
+
+        ``store`` is the region store the ordinal belongs to — the batch
+        :class:`AccessIndex` or the row-fed window; both expose
+        ``regions[ordinal]``, ``addresses_of``, ``by_address`` and
+        ``retire``.
+        """
+        addresses = store.addresses_of(ordinal)
+        if not addresses:
+            return []
+        region = store.regions[ordinal]
+        expiry = self._expiry
+        active_by_address = self._active_by_address
+        fresh: List[RaceInstance] = []
+        if preload:
+            self.preloaded += 1
+        else:
+            self.swept += 1
+            start_ts = region.start_ts
+            # Expire: closed at or before the sweep position means ordered
+            # (happens-before), mirroring the strict overlap definition.
+            while expiry and expiry[0][0] <= start_ts:
+                _, expired = heappop(expiry)
+                for address in store.addresses_of(expired):
+                    active_by_address[address].discard(expired)
+                store.retire(expired)
+            candidates: Set[int] = set()
+            for address in addresses:
+                candidates |= active_by_address[address]
+            regions = store.regions
+            tid = region.tid
+            grouped = None
+            for other in sorted(candidates):
+                other_region = regions[other]
+                if other_region.tid == tid:
+                    continue
+                self.examined += 1
+                if grouped is None:
+                    grouped = store.by_address(ordinal)
+                fresh.extend(
+                    self._conflicts(
+                        other_region,
+                        store.by_address(other),
+                        region,
+                        grouped,
+                    )
+                )
+            self.instances.extend(fresh)
+        heappush(expiry, (region.end_ts, ordinal))
+        for address in addresses:
+            active_by_address[address].add(ordinal)
+        return fresh
+
+    def finish(self) -> List[RaceInstance]:
+        """Retire what is still active, record the perf counters, and
+        return the canonically ordered race set."""
+        expiry = self._expiry
+        while expiry:
+            _, expired = heappop(expiry)
+            self._store.retire(expired)
+        self._active_by_address.clear()
+        if self.perf is not None:
+            self.perf.detect_regions += self.swept
+            self.perf.detect_pairs_examined += self.examined
+            self.perf.detect_pairs_pruned += (
+                self.swept * (self.swept - 1) // 2 - self.examined
+            )
+        return sort_canonically(self.instances)
+
+    # -- conflict enumeration -------------------------------------------
 
     def _conflicts(
         self,
@@ -137,251 +297,6 @@ class _DetectorBase:
         )
 
 
-class HappensBeforeDetector(_DetectorBase):
-    """Sweep-line happens-before detector over the columnar access index.
-
-    Regions are visited in opening-timestamp order (the access index's
-    ordinal order).  A region expires from the active set once its closing
-    timestamp is at or before the sweep position — exactly the negation of
-    the strict :func:`overlaps` definition — so the active set holds
-    precisely the earlier-opening regions that overlap the entering one.
-    Candidate partners are the active regions sharing at least one address
-    with the entering region, found by union over the entering region's
-    addresses in the active per-address index.
-
-    ``perf`` (a :class:`repro.analysis.perf.PerfStats`) receives the
-    detect-stage breakdown: index/sweep wall time, regions swept, pairs
-    examined vs. the quadratic pair count the naive loop would have
-    visited.
-    """
-
-    def __init__(
-        self,
-        ordered: "OrderedReplay | LogView",
-        max_pairs_per_location: Optional[int] = 256,
-        perf=None,
-    ):
-        super().__init__(ordered, max_pairs_per_location)
-        self.perf = perf
-
-    def detect(self) -> List[RaceInstance]:
-        """All race instances in the replayed execution, canonically ordered."""
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("detect.index"):
-                index = self.ordered.access_index()
-            with perf.stage("detect.sweep"):
-                instances = self._sweep(index)
-        else:
-            index = self.ordered.access_index()
-            instances = self._sweep(index)
-        return self._sort_canonically(instances)
-
-    def _sweep(self, index) -> List[RaceInstance]:
-        instances: List[RaceInstance] = []
-        #: Min-heap of (end_ts, ordinal) over currently active regions.
-        expiry: List[Tuple[int, int]] = []
-        #: address -> ordinals of active regions touching it.
-        active_by_address: Dict[int, Set[int]] = defaultdict(set)
-        regions = index.regions
-        swept = 0
-        examined = 0
-        for ordinal, region in enumerate(regions):
-            addresses = index.addresses_of(ordinal)
-            if not addresses:
-                continue
-            swept += 1
-            start_ts = region.start_ts
-            # Expire: closed at or before the sweep position means ordered
-            # (happens-before), mirroring the strict overlap definition.
-            while expiry and expiry[0][0] <= start_ts:
-                _, expired = heappop(expiry)
-                for address in index.addresses_of(expired):
-                    active_by_address[address].discard(expired)
-            candidates: Set[int] = set()
-            for address in addresses:
-                candidates |= active_by_address[address]
-            tid = region.tid
-            grouped = None
-            for other in sorted(candidates):
-                other_region = regions[other]
-                if other_region.tid == tid:
-                    continue
-                examined += 1
-                if grouped is None:
-                    grouped = index.by_address(ordinal)
-                instances.extend(
-                    self._conflicts(
-                        other_region,
-                        index.by_address(other),
-                        region,
-                        grouped,
-                    )
-                )
-            heappush(expiry, (region.end_ts, ordinal))
-            for address in addresses:
-                active_by_address[address].add(ordinal)
-        if self.perf is not None:
-            self.perf.detect_regions += swept
-            self.perf.detect_pairs_examined += examined
-            self.perf.detect_pairs_pruned += swept * (swept - 1) // 2 - examined
-        return instances
-
-
-class NaiveHappensBeforeDetector(_DetectorBase):
-    """The seed's quadratic region-pair detector, kept as the reference.
-
-    Every region pair is tested with :func:`overlaps`; per-region access
-    lists are re-materialized from the thread replays on every call,
-    exactly as the seed did (it deliberately does not touch the columnar
-    index, so benchmarks compare genuine before/after costs).
-    """
-
-    def detect(self) -> List[RaceInstance]:
-        """All race instances in the replayed execution, canonically ordered."""
-        regions = [
-            region for region in self.ordered.all_regions() if not region.is_empty
-        ]
-        indexed = [
-            (region, self._index_accesses(region))
-            for region in regions
-        ]
-        instances: List[RaceInstance] = []
-        for position_a in range(len(indexed)):
-            region_a, accesses_a = indexed[position_a]
-            if not accesses_a:
-                continue
-            for position_b in range(position_a + 1, len(indexed)):
-                region_b, accesses_b = indexed[position_b]
-                if not accesses_b or not overlaps(region_a, region_b):
-                    continue
-                instances.extend(
-                    self._conflicts(region_a, accesses_a, region_b, accesses_b)
-                )
-        return self._sort_canonically(instances)
-
-    def _index_accesses(
-        self, region: SequencingRegion
-    ) -> Dict[int, List[ReplayedAccess]]:
-        replay = self.ordered.thread_replays[region.thread_name]
-        by_address: Dict[int, List[ReplayedAccess]] = defaultdict(list)
-        for access in replay.accesses_in_steps(region.start_step, region.end_step):
-            if not access.is_sync:
-                by_address[access.address].append(access)
-        return dict(by_address)
-
-
-class StreamingHappensBeforeDetector(_DetectorBase):
-    """The sweep line, fed one region at a time in sweep order.
-
-    The incremental twin of :class:`HappensBeforeDetector._sweep`: the
-    segment cursor hands regions over in opening-timestamp order (with
-    their captured rows), :meth:`add_region` runs exactly one iteration
-    of the batch sweep loop — expire, candidate union, conflict
-    enumeration, activate — and *returns the instances that iteration
-    produced*, so races surface while later segments are still being
-    read (or recorded).  Expired regions are immediately retired from
-    the :class:`StreamingAccessWindow`, which is what bounds resident
-    state by the active overlap window.
-
-    :meth:`finish` returns the complete canonically-ordered race set —
-    byte-identical to the batch detector's (the same region order, the
-    same candidate sets, the same per-location cap arithmetic, and the
-    canonical sort key is total, so enumeration order cannot leak into
-    the output).
-    """
-
-    def __init__(
-        self,
-        max_pairs_per_location: Optional[int] = 256,
-        perf=None,
-    ):
-        super().__init__(None, max_pairs_per_location)
-        from ..analysis.access_index import StreamingAccessWindow
-
-        self.window = StreamingAccessWindow(perf=perf)
-        self.perf = perf
-        self._expiry: List[Tuple[int, int]] = []
-        self._active_by_address: Dict[int, Set[int]] = defaultdict(set)
-        self._instances: List[RaceInstance] = []
-        self._swept = 0
-        self._examined = 0
-        self._last_start_ts: Optional[int] = None
-        self._finished = False
-
-    def add_region(self, region: SequencingRegion, rows) -> List[RaceInstance]:
-        """Sweep one region; returns the race instances it completed.
-
-        ``rows`` are the region's captured ``(step, flag, address,
-        value, static_id)`` tuples (sync rows filtered by the window).
-        Regions must arrive in strictly increasing ``start_ts`` order —
-        the segment cursor's release order.
-        """
-        if self._last_start_ts is not None and region.start_ts <= self._last_start_ts:
-            raise ValueError(
-                "streaming sweep fed out of order: region %s opens at ts %d, "
-                "after ts %d was already swept"
-                % (region, region.start_ts, self._last_start_ts)
-            )
-        self._last_start_ts = region.start_ts
-        window = self.window
-        ordinal = window.admit(region, rows)
-        if ordinal is None:
-            return []
-        self._swept += 1
-        start_ts = region.start_ts
-        expiry = self._expiry
-        active_by_address = self._active_by_address
-        while expiry and expiry[0][0] <= start_ts:
-            _, expired = heappop(expiry)
-            for address in window.addresses_of(expired):
-                active_by_address[address].discard(expired)
-            window.retire(expired)
-        addresses = window.addresses_of(ordinal)
-        candidates: Set[int] = set()
-        for address in addresses:
-            candidates |= active_by_address[address]
-        tid = region.tid
-        grouped = None
-        fresh: List[RaceInstance] = []
-        for other in sorted(candidates):
-            other_region = window.region(other)
-            if other_region.tid == tid:
-                continue
-            self._examined += 1
-            if grouped is None:
-                grouped = window.by_address(ordinal)
-            fresh.extend(
-                self._conflicts(
-                    other_region,
-                    window.by_address(other),
-                    region,
-                    grouped,
-                )
-            )
-        heappush(expiry, (region.end_ts, ordinal))
-        for address in addresses:
-            active_by_address[address].add(ordinal)
-        self._instances.extend(fresh)
-        return fresh
-
-    def finish(self) -> List[RaceInstance]:
-        """Retire the remaining window and return the canonical race set."""
-        if not self._finished:
-            self._finished = True
-            while self._expiry:
-                _, expired = heappop(self._expiry)
-                self.window.retire(expired)
-            self._active_by_address.clear()
-            if self.perf is not None:
-                self.perf.detect_regions += self._swept
-                self.perf.detect_pairs_examined += self._examined
-                self.perf.detect_pairs_pruned += (
-                    self._swept * (self._swept - 1) // 2 - self._examined
-                )
-        return self._sort_canonically(self._instances)
-
-
 def find_races(
     ordered: "OrderedReplay | LogView",
     max_pairs_per_location: Optional[int] = 256,
@@ -412,91 +327,6 @@ def find_races(
 # ----------------------------------------------------------------------
 
 
-class PartitionSweepDetector(_DetectorBase):
-    """The batch sweep loop over one worker's segment range.
-
-    Identical to :meth:`HappensBeforeDetector._sweep` except that the
-    first ``preloaded`` ordinals — the straddlers — enter the active
-    set silently: they expire, share addresses and pair up as usual,
-    but never count as swept and never trigger emission themselves.
-    """
-
-    def __init__(self, index, max_pairs_per_location: Optional[int] = 256):
-        super().__init__(None, max_pairs_per_location)
-        self.index = index
-        self.swept = 0
-        self.examined = 0
-
-    def sweep(self, preloaded: int) -> List[RaceInstance]:
-        """Run the sweep; returns instances in enumeration order (the
-        parent sorts canonically after concatenating workers)."""
-        instances: List[RaceInstance] = []
-        expiry: List[Tuple[int, int]] = []
-        active_by_address: Dict[int, Set[int]] = defaultdict(set)
-        index = self.index
-        regions = index.regions
-        for ordinal, region in enumerate(regions):
-            addresses = index.addresses_of(ordinal)
-            if ordinal < preloaded:
-                heappush(expiry, (region.end_ts, ordinal))
-                for address in addresses:
-                    active_by_address[address].add(ordinal)
-                continue
-            self.swept += 1
-            start_ts = region.start_ts
-            while expiry and expiry[0][0] <= start_ts:
-                _, expired = heappop(expiry)
-                for address in index.addresses_of(expired):
-                    active_by_address[address].discard(expired)
-            candidates: Set[int] = set()
-            for address in addresses:
-                candidates |= active_by_address[address]
-            tid = region.tid
-            grouped = None
-            for other in sorted(candidates):
-                other_region = regions[other]
-                if other_region.tid == tid:
-                    continue
-                self.examined += 1
-                if grouped is None:
-                    grouped = index.by_address(ordinal)
-                instances.extend(
-                    self._conflicts(
-                        other_region,
-                        index.by_address(other),
-                        region,
-                        grouped,
-                    )
-                )
-            heappush(expiry, (region.end_ts, ordinal))
-            for address in addresses:
-                active_by_address[address].add(ordinal)
-        return instances
-
-
-class _PartitionThreadCursor:
-    """Per-thread region reconstruction state inside one worker."""
-
-    __slots__ = ("name", "tid", "seen", "open_step", "open_ts", "open_kind", "rows", "row_pos")
-
-    def __init__(self, name: str, tid: int) -> None:
-        self.name = name
-        self.tid = tid
-        #: Sequencers of this thread seen so far (prelude included) —
-        #: after *k* sequencers, ``k - 1`` consecutive pairs are
-        #: complete, so the next completed region has index ``k - 1``
-        #: (empty regions consume indices too, exactly as
-        #: :func:`~repro.replay.regions.regions_of_thread` numbers them).
-        self.seen = 0
-        self.open_step = 0
-        self.open_ts = 0
-        self.open_kind = ""
-        #: Buffered ``(step, flag, address, value, static_id)`` rows not
-        #: yet claimed by a completed region, in step order.
-        self.rows: list = []
-        self.row_pos = 0
-
-
 def _partition_worker(task: tuple) -> dict:
     """One worker: reconstruct and sweep a contiguous segment range.
 
@@ -504,84 +334,56 @@ def _partition_worker(task: tuple) -> dict:
     worker mmaps the container itself, regex-skips the access rows of
     every prelude segment (it only needs per-thread sequencer counts and
     each thread's last pre-range sequencer — the opener of its possible
-    straddler), lean-decodes its owned range, and keeps reading past the
-    range only while a thread still has an open region that started at
-    or below the range end.
+    straddler) to seed a :class:`~repro.replay.log_view.SegmentCursor`,
+    lean-decodes its owned range into that cursor, and keeps reading
+    past the range only while a thread still has an open region that
+    started at or below the range end.
     """
     path, s_lo, s_hi, max_pairs = task
     started = time.perf_counter()
     cpu_started = time.process_time()
-    from ..analysis.access_index import PartitionAccessIndex
     from ..record.binary_format import (
         MappedSegmentedReader,
         read_segment_lean,
         scan_segment_sequencers,
     )
+    from ..replay.log_view import SegmentCursor
 
-    threads: Dict[str, _PartitionThreadCursor] = {}
-    #: ``(region, rows, is_straddler)`` in completion order.
-    collected: List[tuple] = []
+    detector = HappensBeforeDetector(max_pairs_per_location=max_pairs)
     with MappedSegmentedReader(path) as reader:
         entries = reader.index
         range_start = entries[s_lo].first_ts
         range_end = entries[s_hi - 1].last_ts
+        cursor = SegmentCursor(owned_through=range_end)
         for entry in entries[:s_lo]:
             payload = reader.segment_payload(entry)
             for name, tid, _block, count, step, ts, kind in scan_segment_sequencers(payload):
-                if not count:
-                    continue
-                cursor = threads.get(name)
-                if cursor is None:
-                    cursor = threads[name] = _PartitionThreadCursor(name, tid)
-                cursor.seen += count
-                cursor.open_step = step
-                cursor.open_ts = ts
-                cursor.open_kind = kind
+                cursor.seed(name, tid, count, step, ts, kind)
+
+        def sweep(released) -> None:
+            for region, rows in released:
+                detector.add_region(
+                    region, rows, preload=region.start_ts < range_start
+                )
+
         kinds: Dict[str, str] = {}
         interned: Dict[Tuple[str, int], object] = {}
         for position in range(s_lo, len(entries)):
-            if position >= s_hi and not any(
-                cursor.seen
-                and cursor.open_kind != "thread_end"
-                and cursor.open_ts <= range_end
-                for cursor in threads.values()
-            ):
+            if position >= s_hi and not cursor.open_through(range_end):
                 break  # every region we could still own has closed
             payload = reader.segment_payload(entries[position])
-            _, _, _, segment_threads = read_segment_lean(payload, kinds, interned)
-            for name, tid, _block, sequencers, rows in segment_threads:
-                cursor = threads.get(name)
-                if cursor is None:
-                    cursor = threads[name] = _PartitionThreadCursor(name, tid)
-                if rows:
-                    cursor.rows.extend(rows)
-                for step, ts, kind in sequencers:
-                    if cursor.seen:
-                        _complete_partition_region(
-                            cursor, step, ts, kind, range_start, range_end, collected
-                        )
-                    cursor.seen += 1
-                    cursor.open_step = step
-                    cursor.open_ts = ts
-                    cursor.open_kind = kind
-
-    collected.sort(key=lambda item: item[0].start_ts)
-    index = PartitionAccessIndex()
-    preloaded = 0
-    for region, rows, is_straddler in collected:
-        ordinal = index.add_region(region, rows, owned=not is_straddler)
-        if is_straddler and ordinal is not None:
-            preloaded += 1
-    detector = PartitionSweepDetector(index, max_pairs_per_location=max_pairs)
-    instances = detector.sweep(preloaded)
+            sweep(cursor.feed_lean(read_segment_lean(payload, kinds, interned)))
+        sweep(cursor.finish())
+    instances = detector.finish()
+    window = detector.window
     return {
         "instances": instances,
         "truncated": detector.truncated_locations,
         "swept": detector.swept,
         "examined": detector.examined,
-        "stitches": preloaded,
+        "stitches": detector.preloaded,
         "segments": s_hi - s_lo,
-        "owned": index.owned_stats(),
+        "owned": dict(window.stats(), addresses=frozenset(window.address_set)),
         "worker_s": time.perf_counter() - started,
         # CPU seconds are the honest per-worker compute measure: when
         # workers outnumber free cores they time-share, which inflates
@@ -589,71 +391,6 @@ def _partition_worker(task: tuple) -> dict:
         "worker_cpu_s": time.process_time() - cpu_started,
         "pid": os.getpid(),
     }
-
-
-def _complete_partition_region(
-    cursor: _PartitionThreadCursor,
-    end_step: int,
-    end_ts: int,
-    end_kind: str,
-    range_start: int,
-    range_end: int,
-    collected: List[tuple],
-) -> None:
-    """Close the cursor's open region at a newly-arrived sequencer.
-
-    Buffered rows below ``end_step`` belong to the closing region (the
-    v4 writer attaches every row to the first sequencer of its thread
-    at or above the row's step, so a region's rows always travel in the
-    segment of its *closing* sequencer).  Regions opening after the
-    range end are completed — the cursor state must advance — but
-    dropped: a later worker owns them.
-    """
-    start_ts = cursor.open_ts
-    region_index = cursor.seen - 1
-    rows = cursor.rows
-    low = cursor.row_pos
-    position = low
-    end = len(rows)
-    while position < end and rows[position][0] < end_step:
-        position += 1
-    claimed = rows[low:position]
-    cursor.row_pos = position
-    if position == end:
-        cursor.rows = []
-        cursor.row_pos = 0
-    if start_ts > range_end or end_step <= cursor.open_step + 1:
-        return  # not ours, or step-empty (never indexed by any path)
-    start_step = cursor.open_step + 1
-    if claimed and claimed[0][0] < start_step:
-        kept = []
-        for row in claimed:
-            if row[0] >= start_step:
-                kept.append(row)
-            elif not row[1] & 2:
-                raise LogViewUnavailable(
-                    "segment stream lost a plain access row at step %d of "
-                    "thread %r (region starts at step %d)"
-                    % (row[0], cursor.name, start_step)
-                )
-        claimed = kept
-    collected.append(
-        (
-            SequencingRegion(
-                thread_name=cursor.name,
-                tid=cursor.tid,
-                index=region_index,
-                start_step=start_step,
-                end_step=end_step,
-                start_ts=start_ts,
-                end_ts=end_ts,
-                start_kind=cursor.open_kind,
-                end_kind=end_kind,
-            ),
-            claimed,
-            start_ts < range_start,
-        )
-    )
 
 
 def partition_segment_ranges(entries, jobs: int) -> List[Tuple[int, int]]:
@@ -752,7 +489,7 @@ def parallel_detect_races(
         instances: List[RaceInstance] = []
         for result in results:
             instances.extend(result["instances"])
-        _DetectorBase._sort_canonically(instances)
+        sort_canonically(instances)
         swept = sum(result["swept"] for result in results)
         examined = sum(result["examined"] for result in results)
         stitches = sum(result["stitches"] for result in results)
@@ -794,7 +531,7 @@ def parallel_detect_races(
     )
 
 
-class ParallelFileDetector(_DetectorBase):
+class ParallelFileDetector:
     """Detector-shaped adapter over :func:`parallel_detect_races`.
 
     Lets ``analyze_log``'s ``detector_factory`` hook swap the in-memory
@@ -810,10 +547,11 @@ class ParallelFileDetector(_DetectorBase):
         max_pairs_per_location: Optional[int] = 256,
         perf=None,
     ):
-        super().__init__(None, max_pairs_per_location)
         self.path = path
         self.jobs = jobs
+        self.max_pairs_per_location = max_pairs_per_location
         self.perf = perf
+        self.truncated_locations = 0
 
     def detect(self) -> List[RaceInstance]:
         outcome = parallel_detect_races(

@@ -39,7 +39,7 @@ from .regions import SequencingRegion, regions_of_thread
 _NO_CAPTURE = (
     "log has no captured-columns section (v%d%s): the zero-replay detect "
     "path needs a v3 log recorded with captured columns — re-record, or "
-    "use the full-replay path"
+    "drop --from-log/--stream (the default falls back to replay)"
 )
 
 
@@ -107,7 +107,8 @@ class LogView:
         if not is_binary_log(data):
             raise LogViewUnavailable(
                 "not a binary replay log: the zero-replay detect path reads "
-                "RPRB containers only — use the full-replay path for JSON logs"
+                "RPRB containers only — drop --from-log/--stream for JSON "
+                "logs (the default falls back to replay)"
             )
         sections = decode_log_sections(data)
         if sections.captured is None:
@@ -140,7 +141,8 @@ class LogView:
             raise LogViewUnavailable(
                 "log carries no captured access columns (pre-v3 container, "
                 "or v3 encoded without capture): the zero-replay detect "
-                "path needs them — re-record, or use the full-replay path"
+                "path needs them — re-record, or drop --from-log/--stream "
+                "(the default falls back to replay)"
             )
         return cls(
             program_name=log.program_name,
@@ -204,32 +206,54 @@ class LogView:
 class _ThreadCursor:
     """Per-thread progress while digesting a segment stream."""
 
-    __slots__ = ("name", "tid", "last_seq", "region_index", "ended", "rows")
+    __slots__ = (
+        "name", "tid", "seen", "open_step", "open_ts", "open_kind", "rows", "row_pos",
+    )
 
     def __init__(self, name: str, tid: int):
         self.name = name
         self.tid = tid
+        #: Sequencers seen so far — after *k* of them, ``k - 1`` regions
+        #: are complete, so the next completed region has index ``k - 1``
+        #: (step-empty regions consume indices too, exactly as
+        #: :func:`~repro.replay.regions.regions_of_thread` numbers them).
+        self.seen = 0
         #: The last sequencer seen — the opening side of the thread's
-        #: currently *open* region (None before the first sequencer).
-        self.last_seq = None
-        self.region_index = 0
-        self.ended = False
-        #: Buffered ``(step, flag, address, value, static_id)`` rows not
-        #: yet claimed by a completed region, in step order.
+        #: currently *open* region (meaningful once ``seen > 0``).
+        self.open_step = 0
+        self.open_ts = 0
+        self.open_kind = ""
+        #: Buffered ``(step, flag, address, value, static_id)`` rows from
+        #: ``row_pos`` on are not yet claimed by a completed region.
         self.rows: List[tuple] = []
+        self.row_pos = 0
+
+    @property
+    def live(self) -> bool:
+        """True while the thread has an open region still to close."""
+        return self.seen > 0 and self.open_kind != "thread_end"
 
 
 class SegmentCursor:
     """Turn a v4 segment stream into completed regions in sweep order.
 
-    Feed :class:`~repro.record.binary_format.LogSegmentView` objects in
-    file order; each :meth:`feed` returns the regions whose rows are now
-    final *and* provably next in global opening-timestamp order — exactly
-    the order :meth:`LogView.all_regions` (and therefore the batch sweep)
-    visits them.  A region is released once every still-live thread's
-    open region starts later than it; the v4 attachment rule guarantees a
-    region's rows arrive no later than the segment carrying its closing
-    sequencer, so released regions never grow.
+    The one place segment sequencers and rows become regions.  Feed
+    segments in file order — :class:`~repro.record.binary_format.LogSegmentView`
+    objects via :meth:`feed`, or
+    :func:`~repro.record.binary_format.read_segment_lean` tuples via
+    :meth:`feed_lean`; each call returns the ``(region, rows)`` pairs
+    whose rows are now final *and* provably next in global
+    opening-timestamp order — exactly the order :meth:`LogView.all_regions`
+    (and therefore the batch sweep) visits them.  A region is released
+    once every still-live thread's open region starts later than it; the
+    v4 attachment rule guarantees a region's rows arrive no later than the
+    segment carrying its closing sequencer, so released regions never
+    grow.  Step-empty regions are never released (no path indexes them).
+
+    A partition worker starts mid-stream: it first seeds (:meth:`seed`) each
+    thread's sequencer count and last pre-range sequencer, and passes
+    ``owned_through`` — the last timestamp of its range — so regions
+    opening later (a later worker's) are completed but never released.
 
     :meth:`finish` drains the remainder after the last segment.  Resident
     state is the per-thread open-region row buffers plus the not-yet
@@ -237,120 +261,160 @@ class SegmentCursor:
     not the trace.
     """
 
-    def __init__(self):
+    def __init__(self, owned_through: Optional[int] = None):
         self._threads: Dict[str, _ThreadCursor] = {}
         self._pending: List[Tuple[int, int, SequencingRegion, List[tuple]]] = []
         self._tiebreak = 0
+        self._owned_through = owned_through
         self.segments_fed = 0
 
+    def seed(self, name: str, tid: int, count: int, step: int, ts: int, kind: str) -> None:
+        """Catch a thread up on ``count`` sequencers that precede the fed
+        segments, the last at ``(step, ts, kind)`` — one row of
+        :func:`~repro.record.binary_format.scan_segment_sequencers`."""
+        if not count:
+            return
+        thread = self._thread(name, tid)
+        thread.seen += count
+        thread.open_step = step
+        thread.open_ts = ts
+        thread.open_kind = kind
+
     def feed(self, segment) -> List[Tuple[SequencingRegion, List[tuple]]]:
-        """Digest one segment; return newly releasable (region, rows)."""
-        ordinal = segment.ordinal
+        """Digest one segment view; return newly releasable (region, rows)."""
         for name, view in segment.threads.items():
-            cursor = self._threads.get(name)
-            if cursor is None:
-                cursor = self._threads[name] = _ThreadCursor(name, view.tid)
             columns = view.columns
-            cursor.rows.extend(
+            self._feed_thread(
+                name,
+                view.tid,
+                [
+                    (sequencer.thread_step, sequencer.timestamp, sequencer.kind)
+                    for sequencer in view.sequencers
+                ],
                 zip(
                     columns.steps,
                     columns.flags,
                     columns.addresses,
                     columns.values,
                     columns.static_ids,
-                )
+                ),
+                segment.ordinal,
             )
-            for sequencer in view.sequencers:
-                opening = cursor.last_seq
-                if (
-                    opening is not None
-                    and sequencer.timestamp <= opening.timestamp
-                ):
-                    raise LogViewUnavailable(
-                        "segment stream out of order: thread %r sequencer "
-                        "timestamps regress (ts %d after %d) (at segment %d, "
-                        "step %d)"
-                        % (
-                            name,
-                            sequencer.timestamp,
-                            opening.timestamp,
-                            ordinal,
-                            sequencer.thread_step,
-                        )
-                    )
-                if opening is not None:
-                    self._complete_region(cursor, opening, sequencer, ordinal)
-                cursor.last_seq = sequencer
-                if sequencer.kind == "thread_end":
-                    cursor.ended = True
-        self.segments_fed += 1
-        return self._release(bound=self._bound(segment.last_ts))
+        return self._seal(segment.last_ts)
+
+    def feed_lean(self, lean) -> List[Tuple[SequencingRegion, List[tuple]]]:
+        """Digest one ``read_segment_lean`` result; return newly
+        releasable (region, rows)."""
+        ordinal, _first_ts, last_ts, threads = lean
+        for name, tid, _block, sequencers, rows in threads:
+            self._feed_thread(name, tid, sequencers, rows, ordinal)
+        return self._seal(last_ts)
 
     def finish(self) -> List[Tuple[SequencingRegion, List[tuple]]]:
         """Release everything still pending (the stream is over)."""
         return self._release(bound=None)
 
+    def open_through(self, ts: int) -> bool:
+        """True while some live thread's open region started at or before
+        ``ts`` — its closing sequencer and rows are still to come."""
+        return any(
+            thread.live and thread.open_ts <= ts
+            for thread in self._threads.values()
+        )
+
     # -- internals ------------------------------------------------------
 
-    def _complete_region(
-        self, cursor: _ThreadCursor, opening, closing, segment_ordinal: int
-    ) -> None:
-        region = SequencingRegion(
-            thread_name=cursor.name,
-            tid=cursor.tid,
-            index=cursor.region_index,
-            start_step=opening.thread_step + 1,
-            end_step=closing.thread_step,
-            start_ts=opening.timestamp,
-            end_ts=closing.timestamp,
-            start_kind=opening.kind,
-            end_kind=closing.kind,
-        )
-        cursor.region_index += 1
-        # Claim the region's rows from the buffer front.  Rows below
-        # start_step are stragglers of the *previous* closing sequencer's
-        # step (the VM emits a sync instruction's sequencer before its
-        # access hooks) — always sync-flagged, outside every region.
-        rows: List[tuple] = []
-        position = 0
-        buffered = cursor.rows
-        total = len(buffered)
-        end_step = region.end_step
-        start_step = region.start_step
-        while position < total and buffered[position][0] < end_step:
-            row = buffered[position]
-            if row[0] >= start_step:
-                rows.append(row)
-            elif not (row[1] & 2):
-                raise LogViewUnavailable(
-                    "segment stream inconsistent: thread %r has a plain "
-                    "access row below its region window (at segment %d, "
-                    "step %d)" % (cursor.name, segment_ordinal, row[0])
-                )
-            position += 1
-        del buffered[:position]
-        if region.step_count > 0:
-            heappush(
-                self._pending,
-                (region.start_ts, self._tiebreak, region, rows),
-            )
-            self._tiebreak += 1
+    def _thread(self, name: str, tid: int) -> _ThreadCursor:
+        thread = self._threads.get(name)
+        if thread is None:
+            thread = self._threads[name] = _ThreadCursor(name, tid)
+        return thread
 
-    def _bound(self, segment_last_ts: int) -> int:
-        """Largest exclusive start_ts safe to release after this segment.
+    def _feed_thread(self, name, tid, sequencers, rows, segment_ordinal: int) -> None:
+        thread = self._thread(name, tid)
+        if thread.row_pos:
+            del thread.rows[: thread.row_pos]
+            thread.row_pos = 0
+        thread.rows.extend(rows)
+        for step, ts, kind in sequencers:
+            if thread.seen:
+                if ts <= thread.open_ts:
+                    raise LogViewUnavailable(
+                        "segment stream out of order: thread %r sequencer "
+                        "timestamps regress (ts %d after %d) (at segment %d, "
+                        "step %d)" % (name, ts, thread.open_ts, segment_ordinal, step)
+                    )
+                self._complete_region(thread, step, ts, kind, segment_ordinal)
+            thread.seen += 1
+            thread.open_step = step
+            thread.open_ts = ts
+            thread.open_kind = kind
+
+    def _complete_region(
+        self, thread: _ThreadCursor, end_step: int, end_ts: int, end_kind: str,
+        segment_ordinal: int,
+    ) -> None:
+        """Close the thread's open region at a newly arrived sequencer.
+
+        Buffered rows below ``end_step`` belong to the closing region.
+        Rows below its ``start_step`` are stragglers of the *previous*
+        closing sequencer's step (the VM emits a sync instruction's
+        sequencer before its access hooks) — always sync-flagged, outside
+        every region.
+        """
+        rows = thread.rows
+        low = position = thread.row_pos
+        end = len(rows)
+        while position < end and rows[position][0] < end_step:
+            position += 1
+        claimed = rows[low:position]
+        thread.row_pos = position
+        start_step = thread.open_step + 1
+        start_ts = thread.open_ts
+        if claimed and claimed[0][0] < start_step:
+            kept = []
+            for row in claimed:
+                if row[0] >= start_step:
+                    kept.append(row)
+                elif not row[1] & 2:
+                    raise LogViewUnavailable(
+                        "segment stream inconsistent: thread %r has a plain "
+                        "access row below its region window (at segment %d, "
+                        "step %d)" % (thread.name, segment_ordinal, row[0])
+                    )
+            claimed = kept
+        if end_step <= start_step or (
+            self._owned_through is not None and start_ts > self._owned_through
+        ):
+            return  # step-empty, or owned by a later partition
+        region = SequencingRegion(
+            thread_name=thread.name,
+            tid=thread.tid,
+            index=thread.seen - 1,
+            start_step=start_step,
+            end_step=end_step,
+            start_ts=start_ts,
+            end_ts=end_ts,
+            start_kind=thread.open_kind,
+            end_kind=end_kind,
+        )
+        heappush(self._pending, (start_ts, self._tiebreak, region, claimed))
+        self._tiebreak += 1
+
+    def _seal(self, segment_last_ts: int) -> List[Tuple[SequencingRegion, List[tuple]]]:
+        """Release what is safe after a segment ending at ``segment_last_ts``.
 
         Every sequencer with timestamp ≤ the segment's last_ts has been
         seen (segments are globally timestamp-ordered), so the only
         regions that could still appear with an earlier start are the
         live threads' currently open ones.
         """
+        self.segments_fed += 1
         bound = segment_last_ts + 1
-        for cursor in self._threads.values():
-            if cursor.ended or cursor.last_seq is None:
-                continue
-            if cursor.last_seq.timestamp < bound:
-                bound = cursor.last_seq.timestamp
-        return bound
+        for thread in self._threads.values():
+            if thread.live and thread.open_ts < bound:
+                bound = thread.open_ts
+        return self._release(bound)
 
     def _release(
         self, bound: Optional[int]
@@ -372,7 +436,8 @@ class StreamingLogView:
     re-chunking of a v1–v3 sectioned read / decoded log) and a
     :class:`SegmentCursor`.  :meth:`stream_regions` yields
     ``(region, rows)`` in exactly the opening-timestamp order the batch
-    detector sweeps, so feeding them to the streaming detector
+    detector sweeps, so feeding them to
+    :meth:`~repro.race.happens_before.HappensBeforeDetector.add_region`
     reproduces the batch race set byte for byte.
 
     Carries the same identity surface as :class:`LogView`
@@ -427,8 +492,8 @@ class StreamingLogView:
         if not is_binary_log(data):
             raise LogViewUnavailable(
                 "not a binary replay log: the streaming detect path reads "
-                "RPRB containers only — use the batch full-replay path for "
-                "JSON logs"
+                "RPRB containers only — drop --from-log/--stream for JSON "
+                "logs (the default falls back to replay)"
             )
         if is_segmented_log(data):
             header = read_segmented_header(data)
@@ -479,7 +544,8 @@ class StreamingLogView:
             raise LogViewUnavailable(
                 "log carries no captured access columns (pre-v3 container, "
                 "or v3 encoded without capture): the streaming detect path "
-                "needs them — re-record, or use the batch path"
+                "needs them — re-record, or drop --from-log/--stream (the "
+                "default falls back to replay)"
             )
         return cls(
             program_name=log.program_name,
@@ -497,11 +563,8 @@ class StreamingLogView:
     def stream_regions(self) -> Iterator[Tuple[SequencingRegion, List[tuple]]]:
         """Yield every ``(region, rows)`` in opening-timestamp order,
         holding only the active window resident.  Single use."""
-        for segment in self._segments:
-            for item in self.cursor.feed(segment):
-                yield item
-        for item in self.cursor.finish():
-            yield item
+        for window in self.stream_windows():
+            yield from window
 
     def stream_windows(
         self,
@@ -532,8 +595,8 @@ class StreamingLogView:
         :class:`AccessIndex` (``stats()``-compatible)."""
         if self._window is None:
             raise LogViewUnavailable(
-                "streaming view has no access window yet: run the "
-                "streaming detector first"
+                "streaming view has no access window yet: sweep its "
+                "regions first"
             )
         return self._window
 

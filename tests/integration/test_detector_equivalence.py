@@ -3,18 +3,21 @@
 The production detector replaces the seed's quadratic region-pair loop
 with a sweep line over the columnar access index.  That optimization is
 sound only if the detected race set — ordering included — and every
-downstream classification verdict are *byte-identical* to the retained
-:class:`NaiveHappensBeforeDetector` reference.  These tests enforce that
-across the paper suite, re-seeded recordings the suite does not contain,
-and randomized multi-region workloads with and without the per-location
-pair cap.
+downstream classification verdict are *byte-identical* to the
+:class:`NaiveHappensBeforeDetector` oracle (``tests/oracles``).  These
+tests enforce that across the paper suite, re-seeded recordings the
+suite does not contain, and randomized multi-region workloads with and
+without the per-location pair cap.
 
-The zero-replay from-log path is held to the same bar: feeding the
-sweep detector a :class:`LogView` built straight from container bytes
-must produce the identical instance list (and truncation counters, and
-rendered detection report) as feeding it a full :class:`OrderedReplay`
-— which in turn matches the naive reference.
+Every feed of the sweep is held to the same bar: a :class:`LogView`
+built straight from container bytes, a full :class:`OrderedReplay`,
+the segment-streaming feed and the partitioned ``--jobs`` feed must all
+produce the identical instance list, truncation counters, rendered
+detection report and ``access_index().stats()`` — which in turn match
+the oracle.
 """
+
+import io
 
 import pytest
 
@@ -25,12 +28,11 @@ from repro.analysis.pipeline import (
     render_report,
 )
 from repro.isa import assemble
-from repro.race.happens_before import (
-    HappensBeforeDetector,
-    NaiveHappensBeforeDetector,
-)
+from oracles import NaiveHappensBeforeDetector, replay_detection
+from repro.cli import main
+from repro.race.happens_before import HappensBeforeDetector
 from repro.record import record_run
-from repro.record.binary_format import encode_log
+from repro.record.binary_format import encode_log, encode_log_segmented
 from repro.replay import LogView, OrderedReplay
 from repro.vm import RandomScheduler
 from repro.workloads.suite import paper_suite
@@ -192,12 +194,12 @@ class TestFromLogEquivalence:
         _, log = log_for(seed)
         data = encode_log(log)
         via_view = detect_only(data, mode="from-log")
-        via_replay = detect_only(data, mode="replay")
+        via_replay = replay_detection(data)
+        via_oracle = replay_detection(data, NaiveHappensBeforeDetector)
         assert via_view.path == "from-log"
-        assert via_replay.path == "replay"
-        assert render_report(detection_report(via_view)) == render_report(
-            detection_report(via_replay)
-        )
+        expected = render_report(detection_report(via_view))
+        assert render_report(detection_report(via_replay)) == expected
+        assert render_report(detection_report(via_oracle)) == expected
 
 
 class TestEndToEndVerdictEquivalence:
@@ -210,3 +212,85 @@ class TestEndToEndVerdictEquivalence:
             reference = analyze_execution(execution, detector_factory=naive_factory)
             assert default.instances == reference.instances, execution.execution_id
             assert verdicts(default) == verdicts(reference), execution.execution_id
+
+
+#: Two threads looping over a lock-protected region and an unprotected
+#: store: most sequencing regions hold only lock/unlock accesses or no
+#: access at all, so a store that counted only access-bearing regions
+#: would report far fewer regions than the batch index.
+LOCK_LOOP = """
+.data
+x: .word 0
+m: .word 0
+.thread a b
+    li r1, 4
+loop:
+    lock [m]
+    addi r2, r2, 1
+    unlock [m]
+    addi r3, r3, 1
+    store r3, [x]
+    subi r1, r1, 1
+    bnez r1, loop
+    halt
+"""
+
+
+class TestEveryPathAgrees:
+    """batch (from-log) vs replay vs stream (v3 and v4) vs ``--jobs 1..4``
+    vs the oracle: one report, one ``access_index().stats()``."""
+
+    @pytest.fixture(scope="class")
+    def lock_loop(self, tmp_path_factory):
+        program = assemble(LOCK_LOOP, name="lockloop")
+        _, log = record_run(
+            program, scheduler=RandomScheduler(seed=3, switch_probability=0.4), seed=3
+        )
+        directory = tmp_path_factory.mktemp("lockloop")
+        v3 = directory / "lockloop.rprb"
+        v3.write_bytes(encode_log(log, version=3))
+        v4 = directory / "lockloop.seg.rprb"
+        v4.write_bytes(encode_log_segmented(log, segment_bytes=64))
+        return log, v3, v4
+
+    def _analyses(self, log, v3, v4):
+        analyses = {
+            "from-log": detect_only(v3.read_bytes(), mode="from-log"),
+            "replay": replay_detection(log),
+            "stream-v3": detect_only(v3.read_bytes(), mode="stream"),
+            "stream-v4": detect_only(v4.read_bytes(), mode="stream"),
+        }
+        for jobs in (1, 2, 3, 4):
+            analyses["jobs-%d" % jobs] = detect_only(v4, mode="parallel", jobs=jobs)
+        return analyses
+
+    def test_reports_and_stats_identical(self, lock_loop):
+        log, v3, v4 = lock_loop
+        analyses = self._analyses(log, v3, v4)
+        oracle = replay_detection(log, NaiveHappensBeforeDetector)
+        expected = render_report(detection_report(oracle))
+        assert oracle.instances
+        batch = analyses["from-log"].source.access_index().stats()
+        # The lock loop's point: regions without a plain access count too.
+        assert batch == {"regions": 18, "accesses": 8, "addresses": 1, "writes": 8}
+        for name, analysis in analyses.items():
+            assert render_report(detection_report(analysis)) == expected, name
+            assert analysis.source.access_index().stats() == batch, name
+
+    def test_cli_perf_prints_one_access_index_line(self, lock_loop):
+        _, v3, v4 = lock_loop
+        runs = [
+            [str(v3)],
+            [str(v3), "--from-log"],
+            [str(v3), "--stream"],
+            [str(v4), "--stream"],
+        ] + [[str(v4), "--jobs", str(jobs)] for jobs in (1, 2, 3, 4)]
+        lines = set()
+        for argv in runs:
+            out = io.StringIO()
+            assert main(["detect"] + argv + ["--perf"], out=out) == 0, argv
+            lines.update(
+                line for line in out.getvalue().splitlines()
+                if line.startswith("access index:")
+            )
+        assert lines == {"access index: 18 regions, 8 accesses, 1 addresses, 8 writes"}

@@ -133,10 +133,14 @@ class TestCliStreamEquivalence:
         assert streamed == batch
 
     def test_naive_and_stream_are_mutually_exclusive(self, recording, tmp_path):
+        """``--naive`` is gone from the CLI: argparse rejects it, with or
+        without ``--stream``."""
         path = tmp_path / "run.rprb"
         path.write_bytes(encode_log(recording, version=3))
-        code, _ = run_cli(["detect", str(path), "--naive", "--stream"])
-        assert code == 1
+        for argv in (["--naive", "--stream"], ["--naive"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(["detect", str(path)] + argv)
+            assert excinfo.value.code == 2
 
 
 @pytest.fixture(scope="module")

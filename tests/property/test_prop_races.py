@@ -1,6 +1,6 @@
 """Property-based tests: race detection and classification invariants."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.isa import assemble
 from repro.race.classifier import RaceClassifier
@@ -10,6 +10,7 @@ from repro.record import record_run
 from repro.replay import OrderedReplay
 from repro.vm import RandomScheduler, TraceObserver
 
+from oracles import NaiveHappensBeforeDetector
 from strategies import programs, seeds
 
 _SETTINGS = settings(
@@ -86,6 +87,18 @@ def test_detector_equals_oracle(source, seed):
         for i in HappensBeforeDetector(ordered, max_pairs_per_location=None).detect()
     }
     assert detected == _oracle_races(trace)
+
+
+@given(source=programs(), seed=seeds, cap=st.sampled_from((None, 1, 3, 256)))
+@_SETTINGS
+def test_sweep_equals_quadratic_oracle(source, seed, cap):
+    """Instances (order included) and truncation counters of the sweep
+    equal the all-pairs oracle's, with and without the pair cap."""
+    program, trace, ordered = _run(source, seed)
+    sweep = HappensBeforeDetector(ordered, max_pairs_per_location=cap)
+    oracle = NaiveHappensBeforeDetector(ordered, max_pairs_per_location=cap)
+    assert sweep.detect() == oracle.detect()
+    assert sweep.truncated_locations == oracle.truncated_locations
 
 
 @given(source=programs(fully_locked=True), seed=seeds)

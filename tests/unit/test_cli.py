@@ -4,7 +4,10 @@ import io
 
 import pytest
 
+from oracles import NaiveHappensBeforeDetector, render_races
 from repro.cli import main
+from repro.record import load_log
+from repro.replay import OrderedReplay
 
 DEMO_SOURCE = """
 .data
@@ -127,11 +130,23 @@ class TestDetect:
         assert "detect.sweep" in text
 
     def test_detect_naive_reference_agrees(self, recorded):
+        """The oracle left the CLI (``--naive`` is rejected by argparse);
+        the CLI listing still matches the oracle's rendering exactly."""
         _, log, _ = recorded
         code_sweep, text_sweep = run_cli(["detect", str(log)])
-        code_naive, text_naive = run_cli(["detect", str(log), "--naive"])
-        assert code_sweep == code_naive == 0
-        assert text_sweep == text_naive
+        assert code_sweep == 0
+        ordered = OrderedReplay(load_log(log))
+        oracle = NaiveHappensBeforeDetector(ordered).detect()
+        assert text_sweep == render_races(oracle, ordered.program)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["detect", str(log), "--naive"])
+        assert excinfo.value.code == 2
+
+    def test_detect_full_replay_flag_is_gone(self, recorded):
+        _, log, _ = recorded
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["detect", str(log), "--full-replay"])
+        assert excinfo.value.code == 2
 
 
 class TestClassify:

@@ -1,16 +1,13 @@
 """Unit tests for the region-overlap happens-before detector."""
 
 from repro.isa import assemble
-from repro.race.happens_before import (
-    HappensBeforeDetector,
-    NaiveHappensBeforeDetector,
-    find_races,
-)
+from repro.race.happens_before import HappensBeforeDetector, find_races
 from repro.record import record_run
 from repro.replay import OrderedReplay
 from repro.vm import ExplicitScheduler, RandomScheduler
 
 from conftest import record_with_trace
+from oracles import NaiveHappensBeforeDetector
 
 
 def detect(source, seed=3, scheduler=None, name="hb", **kwargs):

@@ -89,14 +89,16 @@ class TestUnavailability:
         # must convert into a clean nonzero exit / 400, not a crash.
         assert issubclass(LogViewUnavailable, ValueError)
 
-    def test_json_document_mentions_full_replay(self, recording):
+    def test_json_document_points_at_replay_fallback(self, recording):
         import json
 
         _, log = recording
         data = json.dumps(log_to_json(log)).encode("utf-8")
         with pytest.raises(LogViewUnavailable) as excinfo:
             LogView.from_bytes(data)
-        assert "full-replay" in str(excinfo.value)
+        message = str(excinfo.value)
+        assert "drop --from-log/--stream" in message
+        assert "falls back to replay" in message
 
 
 class TestDetectSurface:

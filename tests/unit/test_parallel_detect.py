@@ -32,6 +32,8 @@ from repro.record.binary_format import (
 )
 from repro.vm import RandomScheduler
 
+from oracles import replay_detection
+
 RACY_COUNTER = """
 .data
 counter: .word 0
@@ -89,7 +91,7 @@ class TestCrossBoundaryEquivalence:
         path, data = _segmented_file(tmp_path, log, segment_bytes=64)
         assert len(read_segment_index(data)) > 1
 
-        replayed = detect_only(data, mode="replay")
+        replayed = replay_detection(data)
         from_log = detect_only(data, mode="from-log")
         streamed = detect_only(data, mode="stream")
         fanned = detect_only(path, mode="parallel", jobs=3)

@@ -143,7 +143,7 @@ class TestSegmentBoundaryRaces:
         assert streamed.path == "stream"
 
     def test_streaming_detector_rejects_unsorted_regions(self):
-        from repro.race.happens_before import StreamingHappensBeforeDetector
+        from repro.race.happens_before import HappensBeforeDetector
 
         _, log = _recorded()
         cursor = SegmentCursor()
@@ -152,7 +152,7 @@ class TestSegmentBoundaryRaces:
             regions.extend(cursor.feed(segment))
         regions.extend(cursor.finish())
         assert len(regions) >= 2
-        detector = StreamingHappensBeforeDetector()
+        detector = HappensBeforeDetector()
         detector.add_region(*regions[1])
         with pytest.raises(ValueError, match="fed out of order"):
             detector.add_region(*regions[0])
