@@ -1,14 +1,14 @@
-"""Classify-stage cost: batched fan-out vs the per-instance memoized engine.
+"""Classify cost: the batched, verdict-cached classifier vs the oracle.
 
 Classification replays each race instance twice in a virtual processor.
-PR 1's memoization already collapses structurally identical instances to
-one replay plus cache hits — but the *per-instance* overhead remains: a
-full pair-image reconstruction per racing pair and a fresh dict copy per
-instance, even the ones served from the cache.  The batching planner
-(:mod:`repro.analysis.batching`) removes both: instances are grouped by
-``(static race id, region-content hash)`` up front, pair live-in state
-is resolved lazily (one address per probe — no reconstruction, no copy),
-one leader replays per batch and the verdict fans out to every member.
+The naive oracle (``NaiveRaceClassifier`` in ``tests/oracles``) does
+exactly that, one instance at a time: a full pair-image copy per
+instance and both orders interpreted in full.  The one production
+classifier groups instances by ``(static race id, region-content hash)``
+up front (:mod:`repro.analysis.batching`), resolves pair live-in state
+lazily (one address per probe — no reconstruction, no copy), replays one
+leader per batch and fans the verdict out to every member, on top of the
+recorded-original and prefix fast-forward shortcuts.
 
 The workload here is built so region contents genuinely repeat — the
 racing loop keeps its iteration state in a memory counter and normalizes
@@ -19,13 +19,12 @@ per-instance snapshot copies dominate.  Real racy loops share the
 pattern: hot racing code touches few addresses, while the surrounding
 heap is large.
 
-Per size the benchmark times the classify stage of a fresh per-instance
-memoized engine (``batching=False`` — the PR 1 configuration) against a
-fresh batching engine, asserts the two rendered reports are
-byte-identical, and then measures the incremental path: a warm engine
-seeded with the cold run's verdict index re-analyses a *different seed*
-of the same program (the service's dedup-near-miss resubmission) and
-must replay almost nothing.
+Per size the benchmark times a whole cold analysis (decode, replay,
+detect, classify) through the oracle and through a fresh engine, asserts
+the two rendered reports are byte-identical, and then measures the
+incremental path: a warm engine seeded with the cold run's verdict index
+re-analyses a *different seed* of the same program (the service's
+dedup-near-miss resubmission) and must replay almost nothing.
 
 Runs both under pytest (``pytest benchmarks/bench_classify_batched.py``)
 and as a script::
@@ -42,10 +41,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
-from repro.analysis.engine import ClassificationEngine, EngineConfig
+from repro.analysis.engine import ClassificationEngine
 from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import execution_report, render_report
 from repro.isa import assemble
@@ -53,6 +53,9 @@ from repro.record import record_run
 from repro.record.binary_format import encode_log
 from repro.record.serialization import load_log_bytes
 from repro.vm import RandomScheduler
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import naive_log_analysis  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -132,38 +135,36 @@ def _container_bytes(iters: int, seed: int) -> bytes:
     return encode_log(log)
 
 
-def _analyze(data: bytes, batching: bool, prior=None):
+def _analyze(data: bytes, prior=None):
     """One cold analysis on a fresh engine; returns (analysis, stats)."""
-    engine = ClassificationEngine(
-        EngineConfig(jobs=1, memoize=True, batching=batching)
-    )
     stats = PerfStats()
-    analysis = engine.analyze_log(load_log_bytes(data), perf=stats, prior=prior)
+    analysis = ClassificationEngine().analyze_log(
+        load_log_bytes(data), perf=stats, prior=prior
+    )
     return analysis, stats
 
 
-def _time_classify(data: bytes, batching: bool, repeats: int):
-    """Min classify-stage seconds over ``repeats`` fresh engines.
+def _time_analysis(analyze, data: bytes, repeats: int):
+    """Min wall seconds of ``analyze(data)`` over ``repeats`` cold runs.
 
-    Each repeat decodes the container and analyses it on a brand-new
-    engine (empty verdict cache), so both configurations are measured
-    cold; only the classify stage is compared — record/replay/detect are
-    identical between them.
+    Each repeat decodes the container and analyses it from scratch (the
+    engine side on a brand-new engine, so an empty verdict cache);
+    returns ``(seconds, last result)``.
     """
     best = None
-    analysis = None
-    stats = None
+    result = None
     for _ in range(repeats):
-        analysis, stats = _analyze(data, batching)
-        elapsed = stats.stage_seconds.get("classify", 0.0)
+        started = time.perf_counter()
+        result = analyze(data)
+        elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
-    return best, analysis, stats
+    return best, result
 
 
 def _measure_warm(data: bytes, prior_index: dict):
     """Incremental re-analysis of ``data`` spliced from ``prior_index``."""
     started = time.perf_counter()
-    analysis, stats = _analyze(data, batching=True, prior=prior_index)
+    analysis, stats = _analyze(data, prior=prior_index)
     elapsed = time.perf_counter() - started
     instances = len(analysis.instances)
     replayed = stats.cache_misses
@@ -177,36 +178,37 @@ def _measure_warm(data: bytes, prior_index: dict):
 
 
 def run_benchmark(sizes=SIZES, repeats: int = 3) -> dict:
-    """Time per-instance vs batched classification; assert identical reports."""
+    """Time the oracle vs the engine; assert identical reports."""
     rows = []
     for iters in sizes:
         data = _container_bytes(iters, SEED)
-        plain_s, plain_analysis, _ = _time_classify(data, False, repeats)
-        batched_s, batched_analysis, batched_stats = _time_classify(
-            data, True, repeats
+        oracle_s, oracle_analysis = _time_analysis(
+            lambda data: naive_log_analysis(load_log_bytes(data)), data, repeats
         )
-        plain_report = render_report(execution_report(plain_analysis))
-        batched_report = render_report(execution_report(batched_analysis))
-        if plain_report != batched_report:
+        engine_s, (engine_analysis, engine_stats) = _time_analysis(
+            _analyze, data, repeats
+        )
+        oracle_report = render_report(execution_report(oracle_analysis))
+        engine_report = render_report(execution_report(engine_analysis))
+        if oracle_report != engine_report:
             raise AssertionError(
-                "batched report diverges from the per-instance engine at "
-                "iters=%d" % iters
+                "engine report diverges from the naive oracle at iters=%d" % iters
             )
         rows.append(
             {
                 "iters": iters,
-                "instances": len(batched_analysis.instances),
-                "batches": batched_stats.classify_batches,
-                "largest_batch": max(batched_stats.batch_sizes, default=0),
+                "instances": len(engine_analysis.instances),
+                "batches": engine_stats.classify_batches,
+                "largest_batch": max(engine_stats.batch_sizes, default=0),
                 "batch_size_histogram": {
                     str(size): count
-                    for size, count in sorted(batched_stats.batch_sizes.items())
+                    for size, count in sorted(engine_stats.batch_sizes.items())
                 },
-                "fanout": batched_stats.batch_fanout,
-                "fallbacks": batched_stats.batch_fallbacks,
-                "unbatched_classify_s": round(plain_s, 4),
-                "batched_classify_s": round(batched_s, 4),
-                "speedup": round(plain_s / batched_s, 2) if batched_s else 0.0,
+                "fanout": engine_stats.batch_fanout,
+                "fallbacks": engine_stats.batch_fallbacks,
+                "oracle_analysis_s": round(oracle_s, 4),
+                "engine_analysis_s": round(engine_s, 4),
+                "speedup": round(oracle_s / engine_s, 2) if engine_s else 0.0,
                 "reports_identical": True,
             }
         )
@@ -215,7 +217,7 @@ def run_benchmark(sizes=SIZES, repeats: int = 3) -> dict:
     # program, spliced from the cold run's verdict index — the service's
     # resubmission near-miss.  Content-identical regions splice; only
     # genuinely new (live-in variant) instances replay.
-    cold_analysis, _ = _analyze(_container_bytes(largest["iters"], SEED), True)
+    cold_analysis, _ = _analyze(_container_bytes(largest["iters"], SEED))
     warm = _measure_warm(
         _container_bytes(largest["iters"], WARM_SEED),
         cold_analysis.verdict_index,
@@ -245,8 +247,8 @@ def test_batched_classification(results_dir):
     write_result(result, results_dir / "BENCH_classify_batched.json")
     assert result["reports_identical"]
     assert result["speedup"] >= 2.0, (
-        "batched classification must be >=2x over the per-instance memoized "
-        "engine on the largest workload (got %.2fx)" % result["speedup"]
+        "the engine must analyse >=2x faster than the naive oracle on the "
+        "largest workload (got %.2fx)" % result["speedup"]
     )
     warm = result["warm_incremental"]
     assert warm["replayed_fraction"] < 0.10, (

@@ -1,11 +1,12 @@
 """End-to-end classification speedup: seed-era serial vs the engine.
 
-The serial baseline runs the classifier with every §4 replay shortcut
-disabled (no recorded-original reuse, no prefix fast-forward, no
-spin-cycle cutoff) and without memoization -- the algorithm the repo
-shipped with.  The engine path is ``analyze_suite(..., jobs=N,
-memoize=True)``: the process pool plus verdict cache plus the replay
-shortcuts, which are verified here to produce byte-identical verdicts.
+The serial baseline is the naive classifier oracle
+(``NaiveRaceClassifier`` in ``tests/oracles``): every §4 replay shortcut
+off (no recorded-original reuse, no prefix fast-forward, no spin-cycle
+cutoff), no verdict cache, no batches -- the algorithm the repo shipped
+with.  The engine path is ``analyze_suite(..., jobs=N)``: the process
+pool plus the batched verdict cache plus the replay shortcuts, which are
+verified here to produce byte-identical verdicts.
 
 Runs both under pytest (``pytest benchmarks/bench_parallel_scaling.py``)
 and as a script::
@@ -20,22 +21,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import analyze_suite
-from repro.race.classifier import ClassifierConfig
 from repro.workloads import paper_suite
 
-RESULTS_DIR = Path(__file__).parent / "results"
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import naive_suite  # noqa: E402
 
-#: The classifier as it behaved before the replay shortcuts existed.
-SEED_BASELINE = ClassifierConfig(
-    reuse_recorded_original=False,
-    fast_forward_prefix=False,
-    detect_spin_cycles=False,
-)
+RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def _verdicts(suite):
@@ -64,7 +61,7 @@ def run_benchmark(jobs: int = 4, repeats: int = 3) -> dict:
     baseline = None
     for _ in range(repeats):
         start = time.perf_counter()
-        baseline = analyze_suite(paper_suite(), classifier_config=SEED_BASELINE)
+        baseline = naive_suite(paper_suite())
         elapsed = time.perf_counter() - start
         serial_s = elapsed if serial_s is None else min(serial_s, elapsed)
 
@@ -74,7 +71,7 @@ def run_benchmark(jobs: int = 4, repeats: int = 3) -> dict:
     for _ in range(repeats):
         stats = PerfStats()
         start = time.perf_counter()
-        candidate = analyze_suite(paper_suite(), jobs=jobs, memoize=True, perf=stats)
+        candidate = analyze_suite(paper_suite(), jobs=jobs, perf=stats)
         elapsed = time.perf_counter() - start
         if parallel_s is None or elapsed < parallel_s:
             parallel_s, engine_suite, perf = elapsed, candidate, stats

@@ -42,11 +42,14 @@ def test_benchmark_detection_scaling(benchmark, iters):
 def test_benchmark_classification_scaling(benchmark, iters):
     ordered = _ordered(iters)
     instances = HappensBeforeDetector(ordered, max_pairs_per_location=None).detect()
-    classifier = RaceClassifier(ordered)
     benchmark.group = "classify"
     benchmark.name = "classify-iters-%d" % iters
+    # A fresh classifier per round: its verdict cache would otherwise
+    # serve every later round without a replay.
     classified = benchmark.pedantic(
-        lambda: classifier.classify_all(instances), rounds=2, iterations=1
+        lambda: RaceClassifier(ordered).classify_all(instances),
+        rounds=2,
+        iterations=1,
     )
     assert len(classified) == len(instances)
 

@@ -154,7 +154,6 @@ def _measure_end_to_end(pool_size: int, seeds: list, warmup_seeds: list) -> dict
         shards=pool_size,
         queue_capacity=len(seeds) + len(warmup_seeds) + 8,
         port=0,
-        memoize=False,
     )
     service = AnalysisService(config).start()
     try:
@@ -242,7 +241,6 @@ def run_benchmark(
         e2e_seeds = _balanced_seeds(2, start=2000)
         e2e_warmup = _balanced_seeds(1, start=3000)
         result["end_to_end"] = {
-            "memoize": False,
             "note": "real worker processes; bounded by host cores, not gated",
             "rows": [
                 _measure_end_to_end(pool_size, e2e_seeds, e2e_warmup)

@@ -22,6 +22,12 @@ Quickstart::
     for race in aggregate_instances(classified).values():
         print(race.describe(program))               # benign or harmful?
 
+``RaceClassifier`` is the one classifier: it replays one leader per batch
+of content-identical instances and serves the rest from its verdict
+cache.  Every CLI verb and the service reach it through
+``repro.analysis.ClassificationEngine``, which shares one cache across
+executions.
+
 See ``examples/`` for complete walkthroughs and ``benchmarks/`` for the
 paper-table reproductions.
 """

@@ -18,13 +18,8 @@ from .experiments import (
     run_table1,
     run_table2,
 )
-from .engine import (
-    ClassificationEngine,
-    EngineConfig,
-    MemoizingClassifier,
-    TrackingImage,
-    VerdictCache,
-)
+from .batching import VerdictCache
+from .engine import ClassificationEngine, EngineConfig
 from .figures import FigurePoint, FigureSeries, build_figure3, build_figure4, build_figure5
 from .overheads import OverheadReport, measure_overheads
 from .perf import PerfStats
@@ -45,9 +40,7 @@ __all__ = [
     "build_access_index",
     "ClassificationEngine",
     "EngineConfig",
-    "MemoizingClassifier",
     "PerfStats",
-    "TrackingImage",
     "VerdictCache",
     "EXPERIMENTS",
     "ContinueAblation",

@@ -1,51 +1,32 @@
-"""The classification engine: parallel, memoized execution analysis.
+"""The classification engine: parallel execution analysis with verdict reuse.
 
 This layer sits between :mod:`repro.analysis.pipeline` (one execution →
-one :class:`ExecutionAnalysis`) and the suite/experiment drivers.  It adds
-two things the per-execution pipeline does not have:
+one :class:`ExecutionAnalysis`) and the suite/experiment/service drivers.
+It adds three things the per-execution pipeline does not have:
 
 * **fan-out** — executions are independent, so the engine can dispatch
   them across a ``ProcessPoolExecutor`` (``jobs`` workers) and reassemble
   the results in submission order;
-* **verdict memoization** — race instances that are structurally identical
-  replays (same racing code, same in-region offsets, same recorded
-  prefix/suffix content, same live-in values *where the replay actually
-  looked*) must produce the same verdict, so the engine caches verdicts
-  and serves repeats without touching the virtual processor.
-
-Cache-key soundness (the full argument is in ``docs/performance.md``): a
-verdict is a deterministic function of (a) the two racing regions'
-recorded content — start pc, live-in registers, executed static ids and
-every recorded access with its value, region-end state, (b) the racing
-ops' in-region step offsets and owning thread names, (c) which racing op
-was originally first, (d) the freed-range set, and (e) the pair-snapshot
-live-in values the replay *reads*.  Components (a)–(c) form the structural
-key — (a) is interned once per region so per-instance keys are tuples of
-small ints; (d)–(e) cannot be known up front, so the first classification
-runs with a :class:`TrackingImage` that records every live-in probe
-(including misses), and the probe set + values are stored with the
-verdict.  A later instance hits only when its own live-in agrees on every
-probed address — and since the replay is deterministic in exactly those
-inputs, it would have probed the same addresses and produced the same
-verdict.
+* **an engine-lifetime verdict cache** — every execution's classifier
+  shares one :class:`~repro.analysis.batching.VerdictCache`, so
+  structurally identical race instances across executions replay once
+  (the soundness argument is in :mod:`repro.analysis.batching`);
+* **incremental re-analysis** — a prior analysis's portable verdict
+  index (``prior=``), or the one persisted under ``cache_dir``, is
+  absorbed so content-identical regions splice their verdicts.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..race.classifier import ClassifierConfig, RaceClassifier
-from ..race.model import RaceInstance
-from ..race.outcomes import ClassifiedInstance, InstanceOutcome
-from ..replay.errors import ReplayFailureKind
-from ..replay.regions import SequencingRegion
+from ..race.classifier import ClassifierConfig
 from ..workloads.suite import Execution
-from . import batching
-from .batching import VERDICT_INDEX_VERSION, PlannedBatch, plan_batches
+from .batching import VerdictCache
 from .perf import PerfStats
 from .pipeline import (
     ExecutionAnalysis,
@@ -55,604 +36,12 @@ from .pipeline import (
 )
 
 
-class TrackingImage(dict):
-    """A live-in image that records every probe, *including misses*.
-
-    The classifier and virtual processor only ever read the live-in image
-    (``in``, ``[]``, ``.get``); every such probe lands in :attr:`probes`
-    as ``address -> value`` (``None`` for a miss — memory values are
-    non-negative ints, so ``None`` is unambiguous).  Misses matter: a
-    replay that faulted on an absent address must not hit a cached verdict
-    computed when the address was present, and vice versa.
-    """
-
-    __slots__ = ("probes",)
-
-    _MISS = object()
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.probes: Dict[int, Optional[int]] = {}
-
-    def _probe(self, key):
-        value = super().get(key, self._MISS)
-        self.probes[key] = None if value is self._MISS else value
-        return value
-
-    def get(self, key, default=None):
-        value = self._probe(key)
-        return default if value is self._MISS else value
-
-    def __contains__(self, key) -> bool:
-        return self._probe(key) is not self._MISS
-
-    def __getitem__(self, key):
-        value = self._probe(key)
-        if value is self._MISS:
-            raise KeyError(key)
-        return value
-
-
-class TrackingView:
-    """A :class:`TrackingImage` over a lazy live-in reader.
-
-    Same probe-recording contract, but backed by any read-only mapping
-    (``.get`` suffices — misses stay misses) instead of a materialized
-    dict, so the batched classifier can track probes against
-    :meth:`OrderedReplay.pair_live_in`'s lazy view without copying or
-    reconstructing the pair image.
-    """
-
-    __slots__ = ("_backing", "probes")
-
-    _MISS = TrackingImage._MISS
-
-    def __init__(self, backing) -> None:
-        self._backing = backing
-        self.probes: Dict[int, Optional[int]] = {}
-
-    def _probe(self, key):
-        value = self._backing.get(key, self._MISS)
-        self.probes[key] = None if value is self._MISS else value
-        return value
-
-    def get(self, key, default=None):
-        value = self._probe(key)
-        return default if value is self._MISS else value
-
-    def __contains__(self, key) -> bool:
-        return self._probe(key) is not self._MISS
-
-    def __getitem__(self, key):
-        value = self._probe(key)
-        if value is self._MISS:
-            raise KeyError(key)
-        return value
-
-
-#: What the cache stores per verdict: everything needed to rebuild a
-#: ClassifiedInstance around a *different* RaceInstance object.
-#: (outcome, original-first-was-side-a, pre_value, failure_kind, detail)
-_VerdictTemplate = Tuple[InstanceOutcome, bool, int, object, str]
-
-
-def _template_to_json(template: _VerdictTemplate) -> list:
-    outcome, first_is_a, pre_value, failure_kind, failure_detail = template
-    return [
-        outcome.value,
-        bool(first_is_a),
-        pre_value,
-        None if failure_kind is None else failure_kind.value,
-        failure_detail,
-    ]
-
-
-def _template_from_json(raw) -> _VerdictTemplate:
-    outcome, first_is_a, pre_value, failure_kind, failure_detail = raw
-    if failure_detail is not None and not isinstance(failure_detail, str):
-        raise ValueError("malformed failure detail %r" % (failure_detail,))
-    return (
-        InstanceOutcome(outcome),
-        bool(first_is_a),
-        int(pre_value),
-        None if failure_kind is None else ReplayFailureKind(failure_kind),
-        failure_detail,
-    )
-
-
-class VerdictCache:
-    """Memoized verdicts keyed by structural key + live-in probe set.
-
-    One structural key maps to a list of candidates because the same
-    structural replay can behave differently under different live-in
-    images; each candidate carries the probe set its verdict was computed
-    under and matches only a live-in that agrees everywhere it looked.
-
-    Beyond the in-process cache, verdicts travel across engine lifetimes
-    as a **portable index**: :meth:`export_portable` replaces the
-    process-local interned content ids with stable sha256 content digests
-    (plus a shape fingerprint as a collision guard), and
-    :meth:`absorb_portable` loads such an index so that a later analysis
-    of content-identical regions *splices* the stored verdicts instead of
-    replaying — the incremental re-analysis path.  Absorbed entries only
-    ever match through the same probe/freed agreement as local ones, so
-    splicing cannot change a verdict, only skip recomputing it.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[
-            tuple, List[Tuple[Tuple[Tuple[int, Optional[int]], ...], tuple, _VerdictTemplate]]
-        ] = {}
-        self._interned: Dict[tuple, int] = {}
-        #: id -> content tuple (for digesting on export/splice).
-        self._contents: List[tuple] = []
-        #: id -> lazily computed sha256 digest / shape fingerprint.
-        self._digests: List[Optional[str]] = []
-        self._shapes: List[Optional[tuple]] = []
-        #: portable key -> [(shapes, probe items, freed fp, template)].
-        self._imported: Dict[tuple, List[tuple]] = {}
-        #: normalized absorbed entries, kept for lossless re-export.
-        self._imported_raw: List[dict] = []
-        #: canonical-JSON fingerprints of absorbed entries (idempotency).
-        self._absorbed: Set[str] = set()
-        self.hits = 0
-        self.misses = 0
-        #: Hits served by promoting an absorbed (imported) entry.
-        self.spliced = 0
-        #: Entries accepted by :meth:`absorb_portable` over the lifetime.
-        self.absorbed = 0
-
-    def intern(self, content: tuple) -> int:
-        """Map a (possibly large) content tuple to a stable small id.
-
-        Region content is hashed once here, at interning time; the
-        per-instance structural keys then carry only the id, so repeated
-        lookups never re-hash whole region transcripts.
-        """
-        interned = self._interned.get(content)
-        if interned is None:
-            interned = len(self._interned)
-            self._interned[content] = interned
-            self._contents.append(content)
-            self._digests.append(None)
-            self._shapes.append(None)
-        return interned
-
-    def _digest_of(self, content_id: int) -> str:
-        digest = self._digests[content_id]
-        if digest is None:
-            # Through the module so tests can monkeypatch the digest
-            # function and exercise the collision guard.
-            digest = batching.content_digest(self._contents[content_id])
-            self._digests[content_id] = digest
-        return digest
-
-    def _shape_of(self, content_id: int) -> tuple:
-        shape = self._shapes[content_id]
-        if shape is None:
-            shape = batching.content_shape(self._contents[content_id])
-            self._shapes[content_id] = shape
-        return shape
-
-    def __len__(self) -> int:
-        return sum(len(candidates) for candidates in self._entries.values())
-
-    def lookup(
-        self, key: tuple, live_in: Dict[int, int], freed: Dict[int, int]
-    ) -> Optional[_VerdictTemplate]:
-        freed_fp = tuple(sorted(freed.items()))
-        for probe_items, candidate_freed, template in self._entries.get(key, ()):
-            if candidate_freed != freed_fp:
-                continue
-            if all(
-                live_in.get(address, None) == value
-                for address, value in probe_items
-            ):
-                self.hits += 1
-                return template
-        if self._imported:
-            template = self._splice_imported(key, live_in, freed_fp)
-            if template is not None:
-                self.hits += 1
-                self.spliced += 1
-                return template
-        self.misses += 1
-        return None
-
-    def _splice_imported(
-        self, key: tuple, live_in: Dict[int, int], freed_fp: tuple
-    ) -> Optional[_VerdictTemplate]:
-        """Serve a verdict from an absorbed portable index, if one matches.
-
-        Digesting the interned contents happens lazily here (and is cached
-        per content id), so analyses that never splice pay nothing.  A
-        match is promoted into the local entries so later instances of the
-        same key hit without re-digesting.
-        """
-        program, offset_a, id_a, offset_b, id_b, first_is_a = key
-        portable_key = (
-            program,
-            offset_a,
-            self._digest_of(id_a),
-            offset_b,
-            self._digest_of(id_b),
-            first_is_a,
-        )
-        candidates = self._imported.get(portable_key)
-        if not candidates:
-            return None
-        shapes = (self._shape_of(id_a), self._shape_of(id_b))
-        for entry_shapes, probe_items, candidate_freed, template in candidates:
-            if entry_shapes != shapes:
-                continue  # digest collision guard: recompute instead
-            if candidate_freed != freed_fp:
-                continue
-            if all(
-                live_in.get(address, None) == value
-                for address, value in probe_items
-            ):
-                self._entries.setdefault(key, []).append(
-                    (probe_items, candidate_freed, template)
-                )
-                return template
-        return None
-
-    def store(
-        self,
-        key: tuple,
-        probes: Dict[int, Optional[int]],
-        freed: Dict[int, int],
-        template: _VerdictTemplate,
-    ) -> None:
-        self._entries.setdefault(key, []).append(
-            (
-                tuple(sorted(probes.items())),
-                tuple(sorted(freed.items())),
-                template,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # The portable verdict index.
-    # ------------------------------------------------------------------
-
-    def export_portable(self, program: Optional[str] = None) -> Dict:
-        """The cache as a portable JSON-able verdict index.
-
-        Interned content ids become content digests; every local entry
-        and every absorbed entry is included (deduplicated by canonical
-        JSON), so absorb → export round-trips losslessly and repeated
-        export/absorb cycles converge.  ``program`` filters to one
-        program's entries.
-        """
-        entries: List[dict] = []
-        seen: Set[str] = set()
-
-        def add(entry: dict) -> None:
-            fingerprint = json.dumps(entry, sort_keys=True)
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                entries.append(entry)
-
-        for key, candidates in self._entries.items():
-            if program is not None and key[0] != program:
-                continue
-            portable_key = [
-                key[0],
-                key[1],
-                self._digest_of(key[2]),
-                key[3],
-                self._digest_of(key[4]),
-                key[5],
-            ]
-            shapes = [list(self._shape_of(key[2])), list(self._shape_of(key[4]))]
-            for probe_items, freed_fp, template in candidates:
-                add(
-                    {
-                        "key": portable_key,
-                        "shapes": shapes,
-                        "probes": [[a, v] for a, v in probe_items],
-                        "freed": [[a, s] for a, s in freed_fp],
-                        "template": _template_to_json(template),
-                    }
-                )
-        for raw in self._imported_raw:
-            if program is not None and raw["key"][0] != program:
-                continue
-            add(raw)
-        return {"verdict_index_version": VERDICT_INDEX_VERSION, "entries": entries}
-
-    def absorb_portable(self, index) -> int:
-        """Load a portable verdict index; returns how many entries stuck.
-
-        Defensive by design — indexes come from cache files and user
-        ``--incremental-from`` arguments: an unknown version or a
-        non-document absorbs nothing, and each malformed entry is skipped
-        individually.  Absorbing the same index twice is a no-op.
-        """
-        if not isinstance(index, dict):
-            return 0
-        if index.get("verdict_index_version") != VERDICT_INDEX_VERSION:
-            return 0
-        entries = index.get("entries")
-        if not isinstance(entries, list):
-            return 0
-        accepted = 0
-        for raw in entries:
-            try:
-                parsed = self._parse_portable_entry(raw)
-            except (KeyError, ValueError, TypeError, IndexError):
-                continue
-            if parsed is None:
-                continue
-            normalized, portable_key, candidate = parsed
-            fingerprint = json.dumps(normalized, sort_keys=True)
-            if fingerprint in self._absorbed:
-                continue
-            self._absorbed.add(fingerprint)
-            self._imported.setdefault(portable_key, []).append(candidate)
-            self._imported_raw.append(normalized)
-            self.absorbed += 1
-            accepted += 1
-        return accepted
-
-    @staticmethod
-    def _parse_portable_entry(raw):
-        """Normalize one index entry; raise/return None when malformed."""
-        program, offset_a, digest_a, offset_b, digest_b, first_is_a = raw["key"]
-        if not (
-            isinstance(program, str)
-            and isinstance(offset_a, int)
-            and isinstance(digest_a, str)
-            and isinstance(offset_b, int)
-            and isinstance(digest_b, str)
-            and isinstance(first_is_a, bool)
-        ):
-            return None
-        shapes = tuple(
-            tuple(int(part) for part in shape) for shape in raw["shapes"]
-        )
-        if len(shapes) != 2 or any(len(shape) != 3 for shape in shapes):
-            return None
-        probes = tuple(
-            sorted(
-                (int(address), None if value is None else int(value))
-                for address, value in raw["probes"]
-            )
-        )
-        freed = tuple(
-            sorted((int(address), int(size)) for address, size in raw["freed"])
-        )
-        template = _template_from_json(raw["template"])
-        portable_key = (
-            program, offset_a, digest_a, offset_b, digest_b, first_is_a,
-        )
-        normalized = {
-            "key": list(portable_key),
-            "shapes": [list(shape) for shape in shapes],
-            "probes": [[a, v] for a, v in probes],
-            "freed": [[a, s] for a, s in freed],
-            "template": _template_to_json(template),
-        }
-        return normalized, portable_key, (shapes, probes, freed, template)
-
-
-class MemoizingClassifier(RaceClassifier):
-    """A :class:`RaceClassifier` that consults a shared verdict cache."""
-
-    def __init__(self, *args, cache: Optional[VerdictCache] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cache = cache if cache is not None else VerdictCache()
-        #: (tid, region index) -> interned region-content id.
-        self._region_ids: Dict[Tuple[int, int], int] = {}
-
-    def classify_instance(self, instance: RaceInstance) -> ClassifiedInstance:
-        if self.config.store_replay_outcomes:
-            # Callers wanting the raw VPOutcomes need the real replay.
-            return super().classify_instance(instance)
-        instance = self._canonicalize(instance)
-        live_in, freed = self.ordered.pair_snapshot(
-            instance.region_a, instance.region_b
-        )
-        key = self._structural_key(instance)
-        template = self.cache.lookup(key, live_in, freed)
-        if template is not None:
-            return self._from_template(instance, template)
-        tracking = TrackingImage(live_in)
-        result = self._classify_with_state(instance, tracking, freed)
-        self.cache.store(
-            key,
-            tracking.probes,
-            freed,
-            (
-                result.outcome,
-                result.original_first == instance.access_a.thread_name,
-                result.pre_value,
-                result.failure_kind,
-                result.failure_detail,
-            ),
-        )
-        return result
-
-    def _from_template(
-        self, instance: RaceInstance, template: _VerdictTemplate
-    ) -> ClassifiedInstance:
-        outcome, first_is_a, pre_value, failure_kind, failure_detail = template
-        return ClassifiedInstance(
-            instance=instance,
-            outcome=outcome,
-            original_first=(
-                instance.access_a.thread_name
-                if first_is_a
-                else instance.access_b.thread_name
-            ),
-            pre_value=pre_value,
-            failure_kind=failure_kind,
-            failure_detail=failure_detail,
-            execution_id=self.execution_id,
-        )
-
-    # ------------------------------------------------------------------
-    # The structural key.
-    # ------------------------------------------------------------------
-
-    def _region_content_id(
-        self, thread_name: str, region: SequencingRegion
-    ) -> int:
-        """Interned id of everything the recording says about ``region``.
-
-        Every input the replay draws from one side — start pc, live-in
-        registers, the executed static-id trajectory, every recorded
-        access (loads seed values, stores and their values, sync ops) and
-        the region-end state — is a function of this tuple, so two regions
-        with equal content ids are interchangeable for classification.
-        Content is hashed once at interning; instances carry the int.
-        """
-        region_key = (region.tid, region.index)
-        interned = self._region_ids.get(region_key)
-        if interned is None:
-            content = batching.region_content(
-                self.ordered,
-                thread_name,
-                region,
-                footprint=tuple(sorted(self._pc_footprint(thread_name))),
-            )
-            interned = self.cache.intern(content)
-            self._region_ids[region_key] = interned
-        return interned
-
-    def _structural_key(self, instance: RaceInstance) -> tuple:
-        access_a, access_b = instance.access_a, instance.access_b
-        region_a, region_b = instance.region_a, instance.region_b
-        return (
-            self.log.program_name,
-            access_a.thread_step - region_a.start_step,
-            self._region_content_id(access_a.thread_name, region_a),
-            access_b.thread_step - region_b.start_step,
-            self._region_content_id(access_b.thread_name, region_b),
-            self._original_first(instance) == access_a.thread_name,
-        )
-
-
-class BatchingClassifier(MemoizingClassifier):
-    """A memoizing classifier that plans whole batches up front.
-
-    :meth:`classify_all` groups the instances by full structural key
-    (:func:`repro.analysis.batching.plan_batches`) and walks each batch:
-    the first member that misses the verdict cache replays (the batch
-    *leader*), and every later member is served by the same cache lookup
-    the per-instance memoized path would do — from the leader's stored
-    verdict when its live-in agrees on the probed addresses
-    (``batch_fanout``), or by its own replay through the leader's rebound
-    processor on probe divergence (``batch_fallbacks``).  Because members
-    share the full structural key and the cache-store order matches the
-    per-instance path's, verdicts are byte-identical to
-    :class:`MemoizingClassifier` — the equivalence tests assert it.
-
-    The win over plain memoization is constant-factor but large on
-    instance-heavy regions: per fanned-out member the batch path skips
-    the pair-snapshot dict copies (``pair_snapshot_view``), and fallback
-    members reuse the leader's thread specs and seeded prefix image
-    instead of re-deriving them.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.batches_planned = 0
-        self.batch_fanout = 0
-        self.batch_fallbacks = 0
-        #: batch size -> number of batches of that size (this classifier).
-        self.batch_sizes: Dict[int, int] = {}
-
-    def classify_all(self, instances: List[RaceInstance]) -> List[ClassifiedInstance]:
-        if self.config.store_replay_outcomes or not instances:
-            # Raw-outcome callers need real replays; defer to the base.
-            return super().classify_all(instances)
-        plan = plan_batches(self, instances)
-        self.batches_planned += plan.batch_count
-        for size, count in plan.size_histogram().items():
-            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + count
-        results: List[Optional[ClassifiedInstance]] = [None] * len(instances)
-        for batch in plan.batches:
-            self._classify_batch(batch, results)
-        return results
-
-    def collect_perf(self, stats) -> None:
-        super().collect_perf(stats)
-        stats.classify_batches += self.batches_planned
-        stats.batch_fanout += self.batch_fanout
-        stats.batch_fallbacks += self.batch_fallbacks
-        for size, count in self.batch_sizes.items():
-            stats.batch_sizes[size] = stats.batch_sizes.get(size, 0) + count
-
-    def _classify_batch(
-        self, batch: PlannedBatch, results: List[Optional[ClassifiedInstance]]
-    ) -> None:
-        computed = False
-        for position, member in batch.members:
-            # Lazy pair live-in: cache probes and virtual-processor loads
-            # resolve one address at a time, so no member ever pays for a
-            # full pair-image reconstruction or copy.  Values are
-            # address-identical to ``pair_snapshot``'s, so the stored
-            # probes — and hence every verdict — match the per-instance
-            # path byte for byte.
-            live_in, freed = self.ordered.pair_live_in(
-                member.region_a, member.region_b
-            )
-            template = self.cache.lookup(batch.key, live_in, freed)
-            if template is not None:
-                if computed:
-                    self.batch_fanout += 1
-                results[position] = self._from_template(member, template)
-                continue
-            # Cache miss: this member replays.  The first replay of the
-            # batch builds the shared processor; probe-divergence
-            # fallbacks rebind it to their own live-in (sharing specs and
-            # the seeded prefix image — both functions of the batch key).
-            if computed:
-                self.batch_fallbacks += 1
-            tracking = TrackingView(live_in)
-            if batch.processor is None:
-                batch.processor = self.batch_processor(member, tracking, freed)
-                processor = batch.processor
-            else:
-                processor = batch.processor.rebind(tracking, freed)
-            result = self._classify_with_state(
-                member, tracking, freed, processor=processor
-            )
-            computed = True
-            self.cache.store(
-                batch.key,
-                tracking.probes,
-                freed,
-                (
-                    result.outcome,
-                    result.original_first == member.access_a.thread_name,
-                    result.pre_value,
-                    result.failure_kind,
-                    result.failure_detail,
-                ),
-            )
-            results[position] = result
-
-
-# ----------------------------------------------------------------------
-# The engine.
-# ----------------------------------------------------------------------
-
-
 @dataclass
 class EngineConfig:
     """Configuration of a :class:`ClassificationEngine`."""
 
     #: Worker processes; 1 analyses in-process (no pool).
     jobs: int = 1
-    #: Serve structurally identical race instances from the verdict cache.
-    memoize: bool = True
-    #: Plan classification in batches of structurally identical instances
-    #: (one replay per batch, fanned out).  Requires ``memoize``; verdicts
-    #: are byte-identical either way.
-    batching: bool = True
     #: Splice verdicts from a prior analysis of the same program: absorb
     #: the ``prior=`` index passed to :meth:`analyze_execution` /
     #: :meth:`analyze_log`, and (with ``cache_dir``) persist and reload
@@ -690,25 +79,6 @@ class ClassificationEngine:
 
             self._record_cache = SuiteCache(self.config.cache_dir)
 
-    # -- classifier construction (pipeline hook) -----------------------
-
-    def _classifier_factory(
-        self, ordered, classifier_config, execution_id
-    ) -> RaceClassifier:
-        if not self.config.memoize:
-            return RaceClassifier(
-                ordered, config=classifier_config, execution_id=execution_id
-            )
-        classifier_class = (
-            BatchingClassifier if self.config.batching else MemoizingClassifier
-        )
-        return classifier_class(
-            ordered,
-            config=classifier_config,
-            execution_id=execution_id,
-            cache=self.cache,
-        )
-
     # -- incremental re-analysis plumbing ------------------------------
 
     def _verdict_index_key(self, program_name: str, source: str) -> str:
@@ -737,8 +107,6 @@ class ClassificationEngine:
         path: a changed seed or scheduler records a different execution,
         but regions whose content didn't change splice their verdicts.
         """
-        if not self.config.memoize:
-            return None
         if prior is not None:
             index = getattr(prior, "verdict_index", prior)
             self.cache.absorb_portable(index)
@@ -762,16 +130,15 @@ class ClassificationEngine:
         stats.cache_misses += self.cache.misses - misses
         stats.incremental_spliced += self.cache.spliced - spliced
         stats.incremental_absorbed += self.cache.absorbed - absorbed
-        if self.config.memoize:
-            analysis.verdict_index = self.cache.export_portable(
-                program=analysis.log.program_name
-            )
-            if verdict_key is not None:
-                # export_portable includes absorbed entries, so storing it
-                # unions this run's verdicts with everything loaded.
-                self._record_cache.store_verdicts(
-                    verdict_key, analysis.verdict_index
-                )
+        # The portable index walks the whole cache and digests region
+        # contents, so it is exported only when somebody reads it.
+        analysis.export_verdicts = functools.partial(
+            self.cache.export_portable, program=analysis.log.program_name
+        )
+        if verdict_key is not None:
+            # export_portable includes absorbed entries, so storing it
+            # unions this run's verdicts with everything loaded.
+            self._record_cache.store_verdicts(verdict_key, analysis.verdict_index)
 
     def _cache_snapshot(self) -> Tuple[int, int, int, int]:
         return (
@@ -808,7 +175,7 @@ class ClassificationEngine:
             max_pairs_per_location=self.config.max_pairs_per_location,
             max_steps=self.config.max_steps,
             capture_global_order=self.config.capture_global_order,
-            classifier_factory=self._classifier_factory,
+            verdict_cache=self.cache,
             perf=stats,
             cache=self._record_cache,
             replay_fast_path=self.config.replay_fast_path,
@@ -827,9 +194,9 @@ class ClassificationEngine:
         """Analyse an already-recorded log through this engine.
 
         The engine counterpart of :func:`repro.analysis.pipeline.analyze_log`
-        — same report bytes — plus the engine's verdict memoization,
-        batching and incremental splicing (``prior=`` and the persisted
-        per-program verdict index, exactly as in :meth:`analyze_execution`).
+        — same report bytes — plus the engine's shared verdict cache and
+        incremental splicing (``prior=`` and the persisted per-program
+        verdict index, exactly as in :meth:`analyze_execution`).
 
         ``detector_factory`` is forwarded to the pipeline; pass one built
         around :class:`repro.race.happens_before.ParallelFileDetector` to
@@ -845,7 +212,7 @@ class ClassificationEngine:
             execution_id=execution_id,
             classifier_config=self.config.classifier_config,
             max_pairs_per_location=self.config.max_pairs_per_location,
-            classifier_factory=self._classifier_factory,
+            verdict_cache=self.cache,
             perf=stats,
             replay_fast_path=self.config.replay_fast_path,
             detector_factory=detector_factory,
@@ -867,8 +234,8 @@ class ClassificationEngine:
         Report bytes match :meth:`analyze_log` exactly; the difference is
         the cost profile — verdicts start landing after the first sealed
         window instead of after the whole sweep, and detection state is
-        bounded by the active window.  Verdict memoization, batching and
-        incremental splicing all apply, same as :meth:`analyze_log`.
+        bounded by the active window.  The shared verdict cache and
+        incremental splicing apply, same as :meth:`analyze_log`.
         """
         snapshot = self._cache_snapshot()
         stats = perf if perf is not None else PerfStats()
@@ -886,7 +253,7 @@ class ClassificationEngine:
             execution_id=execution_id,
             classifier_config=self.config.classifier_config,
             max_pairs_per_location=self.config.max_pairs_per_location,
-            classifier_factory=self._classifier_factory,
+            verdict_cache=self.cache,
             perf=stats,
             replay_fast_path=self.config.replay_fast_path,
             segment_bytes=segment_bytes,
@@ -927,8 +294,8 @@ class ClassificationEngine:
 
 # ----------------------------------------------------------------------
 # Pool worker plumbing.  The engine (and its verdict cache) lives for the
-# whole worker process, so memoization spans every execution a worker is
-# handed, not just one task.
+# whole worker process, so verdict reuse spans every execution a worker
+# is handed, not just one task.
 # ----------------------------------------------------------------------
 
 _WORKER_ENGINE: Optional[ClassificationEngine] = None
@@ -943,5 +310,7 @@ def _worker_analyze(execution: Execution) -> Tuple[ExecutionAnalysis, PerfStats]
     assert _WORKER_ENGINE is not None, "worker used before initialization"
     worker_stats = PerfStats()
     analysis = _WORKER_ENGINE.analyze_execution(execution, perf=worker_stats)
+    # The verdict cache stays in the worker; nothing is exported for it.
+    analysis.export_verdicts = None
     worker_stats.pool_workers.add(os.getpid())
     return analysis, worker_stats

@@ -42,11 +42,6 @@ class OverheadReport:
     classify_seconds: float
     race_instances: int
     log_stats: CompressionStats
-    #: Same classification served through the memoizing engine classifier
-    #: (0.0 when not measured — the defaults keep older payloads loadable).
-    engine_classify_seconds: float = 0.0
-    engine_cache_hits: int = 0
-    engine_cache_misses: int = 0
 
     def _ratio(self, seconds: float) -> float:
         if self.native_seconds <= 0:
@@ -91,28 +86,6 @@ class OverheadReport:
                     self.classify_overhead,
                 ),
                 "  race instances analysed %8d" % self.race_instances,
-            ]
-            + (
-                [
-                    "  memoized engine classify%8.4fs  %5.1fx  (%d cache hits"
-                    " / %d misses)"
-                    % (
-                        self.replay_seconds
-                        + self.detect_seconds
-                        + self.engine_classify_seconds,
-                        self._ratio(
-                            self.replay_seconds
-                            + self.detect_seconds
-                            + self.engine_classify_seconds
-                        ),
-                        self.engine_cache_hits,
-                        self.engine_cache_misses,
-                    )
-                ]
-                if self.engine_classify_seconds > 0
-                else []
-            )
-            + [
                 "  log size: %.3f bits/instr raw, %.3f compressed (paper: 0.8 / 0.3)"
                 % (
                     self.log_stats.raw_bits_per_instruction,
@@ -252,18 +225,7 @@ def measure_overheads(
         detect_seconds = elapsed if detect_seconds is None else min(detect_seconds, elapsed)
 
     classifier = RaceClassifier(ordered)
-    classified, classify_seconds = _time(lambda: classifier.classify_all(instances))
-
-    # The same classification through the memoizing engine classifier, on a
-    # fresh region-ordered replay so warmed snapshot caches don't flatter it.
-    from .engine import MemoizingClassifier, VerdictCache
-
-    fresh = OrderedReplay(log, program)
-    cache = VerdictCache()
-    engine_classifier = MemoizingClassifier(fresh, cache=cache)
-    _, engine_classify_seconds = _time(
-        lambda: engine_classifier.classify_all(instances)
-    )
+    _, classify_seconds = _time(lambda: classifier.classify_all(instances))
 
     return OverheadReport(
         workload=workload.name,
@@ -275,7 +237,4 @@ def measure_overheads(
         classify_seconds=classify_seconds,
         race_instances=len(instances),
         log_stats=compression_stats(log),
-        engine_classify_seconds=engine_classify_seconds,
-        engine_cache_hits=cache.hits,
-        engine_cache_misses=cache.misses,
     )

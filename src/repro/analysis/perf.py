@@ -38,7 +38,7 @@ class PerfStats:
     originals_synthesized: int = 0
     #: Alternative replays whose logged prefix was fast-forwarded.
     prefixes_fast_forwarded: int = 0
-    #: Batches the batching classifier planned (groups of instances
+    #: Batches the classifier planned (groups of instances
     #: sharing a full structural key).
     classify_batches: int = 0
     #: Verdicts fanned out from a batch leader's replay to later members.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.program import Program
 from ..race.aggregate import StaticRaceResult, aggregate_instances
@@ -54,10 +54,22 @@ class ExecutionAnalysis:
     classified: List[ClassifiedInstance]
     #: Stage timings/work counters, when the caller asked for them.
     perf: Optional[PerfStats] = None
-    #: Portable verdict index (:meth:`VerdictCache.export_portable`) of
-    #: the engine cache after this analysis — the `prior=` input of an
-    #: incremental re-analysis.  ``None`` outside the memoizing engine.
-    verdict_index: Optional[Dict] = None
+    #: Exports the engine's portable verdict index for this program
+    #: (:meth:`VerdictCache.export_portable`) on the first read of
+    #: :attr:`verdict_index`; ``None`` outside the engine.
+    export_verdicts: Optional[Callable[[], Dict]] = field(
+        default=None, repr=False, compare=False
+    )
+    _verdict_index: Optional[Dict] = field(default=None, repr=False)
+
+    @property
+    def verdict_index(self) -> Optional[Dict]:
+        """The portable verdict index — the ``prior=`` input of an
+        incremental re-analysis — exported from the engine cache on first
+        read (so it also holds verdicts that cache gained since)."""
+        if self._verdict_index is None and self.export_verdicts is not None:
+            self._verdict_index = self.export_verdicts()
+        return self._verdict_index
 
     @property
     def program(self) -> Program:
@@ -99,7 +111,7 @@ def analyze_execution(
     max_pairs_per_location: Optional[int] = 256,
     max_steps: int = 200_000,
     capture_global_order: bool = True,
-    classifier_factory=None,
+    verdict_cache=None,
     detector_factory=None,
     perf: Optional[PerfStats] = None,
     cache=None,
@@ -107,8 +119,9 @@ def analyze_execution(
 ) -> ExecutionAnalysis:
     """Record and fully analyse one execution of a workload.
 
-    ``classifier_factory(ordered, classifier_config, execution_id)`` lets
-    the classification engine substitute its memoizing classifier;
+    ``verdict_cache`` (a :class:`repro.analysis.batching.VerdictCache`)
+    is shared with the classifier — the classification engine passes its
+    engine-lifetime cache; without one the classifier uses a private one.
     ``detector_factory(ordered, max_pairs_per_location)`` substitutes the
     race detector (the equivalence tests pass a quadratic oracle, the
     parallel path a file-partitioned sweep); ``perf`` accumulates per-stage wall time and work
@@ -160,14 +173,12 @@ def analyze_execution(
         else:
             detector = detector_factory(ordered, max_pairs_per_location)
         instances = detector.detect()
-    if classifier_factory is None:
-        classifier = RaceClassifier(
-            ordered, config=classifier_config, execution_id=execution.execution_id
-        )
-    else:
-        classifier = classifier_factory(
-            ordered, classifier_config, execution.execution_id
-        )
+    classifier = RaceClassifier(
+        ordered,
+        config=classifier_config,
+        execution_id=execution.execution_id,
+        cache=verdict_cache,
+    )
     with stats.stage("classify"):
         classified = classifier.classify_all(instances)
     stats.executions += 1
@@ -201,7 +212,7 @@ def analyze_log(
     execution_id: Optional[str] = None,
     classifier_config: Optional[ClassifierConfig] = None,
     max_pairs_per_location: Optional[int] = 256,
-    classifier_factory=None,
+    verdict_cache=None,
     detector_factory=None,
     perf: Optional[PerfStats] = None,
     replay_fast_path: bool = True,
@@ -235,12 +246,12 @@ def analyze_log(
         else:
             detector = detector_factory(ordered, max_pairs_per_location)
         instances = detector.detect()
-    if classifier_factory is None:
-        classifier = RaceClassifier(
-            ordered, config=classifier_config, execution_id=execution_id
-        )
-    else:
-        classifier = classifier_factory(ordered, classifier_config, execution_id)
+    classifier = RaceClassifier(
+        ordered,
+        config=classifier_config,
+        execution_id=execution_id,
+        cache=verdict_cache,
+    )
     with stats.stage("classify"):
         classified = classifier.classify_all(instances)
     stats.executions += 1
@@ -263,7 +274,7 @@ def analyze_log_stream(
     execution_id: Optional[str] = None,
     classifier_config: Optional[ClassifierConfig] = None,
     max_pairs_per_location: Optional[int] = 256,
-    classifier_factory=None,
+    verdict_cache=None,
     perf: Optional[PerfStats] = None,
     replay_fast_path: bool = True,
     segment_bytes: Optional[int] = None,
@@ -314,12 +325,12 @@ def analyze_log_stream(
     program = workload.program()
     with stats.stage("replay"):
         ordered = OrderedReplay(log, program, fast_path=replay_fast_path, perf=stats)
-    if classifier_factory is None:
-        classifier = RaceClassifier(
-            ordered, config=classifier_config, execution_id=execution_id
-        )
-    else:
-        classifier = classifier_factory(ordered, classifier_config, execution_id)
+    classifier = RaceClassifier(
+        ordered,
+        config=classifier_config,
+        execution_id=execution_id,
+        cache=verdict_cache,
+    )
     with stats.stage("detect.view"):
         from ..record.binary_format import is_binary_log
 
@@ -774,8 +785,8 @@ def execution_report(analysis: ExecutionAnalysis, suppressions=None) -> Dict:
         log=analysis.log,
         suppressions=suppressions,
         # Batch keys are derived from the recording alone (region contents
-        # via the ordered replay), never from which classifier ran — so
-        # batched and unbatched reports stay byte-identical.
+        # via the ordered replay), never from the verdict cache — so every
+        # entry point and the naive oracle render byte-identical reports.
         batch_key_for=lambda entry: instance_batch_key(
             analysis.ordered, entry.instance
         ),
@@ -810,54 +821,36 @@ def analyze_suite(
     classifier_config: Optional[ClassifierConfig] = None,
     max_pairs_per_location: Optional[int] = 256,
     jobs: int = 1,
-    memoize: bool = False,
     perf: Optional[PerfStats] = None,
     cache_dir=None,
     replay_fast_path: bool = True,
-    batching: bool = True,
 ) -> SuiteAnalysis:
     """Analyse a corpus and merge per-static-race results across executions.
 
-    ``jobs > 1`` fans the per-execution analyses across a process pool and
-    ``memoize`` reuses verdicts of structurally identical race instances;
-    both delegate to :class:`repro.analysis.engine.ClassificationEngine`
-    and change no verdict (the engine equivalence tests assert identical
-    results).  ``cache_dir`` enables the content-addressed record cache
-    (:mod:`repro.analysis.cache`), letting repeated runs skip record for
-    unchanged workloads — again with no effect on any result.
+    Runs through :class:`repro.analysis.engine.ClassificationEngine`:
+    ``jobs > 1`` fans the per-execution analyses across a process pool,
+    and ``cache_dir`` enables the content-addressed record cache
+    (:mod:`repro.analysis.cache`) plus the persisted verdict index, letting
+    repeated runs skip record and replay for unchanged workloads.  Neither
+    changes a verdict (the engine equivalence tests assert it).
     """
-    if jobs != 1 or memoize:
-        from .engine import ClassificationEngine, EngineConfig
+    from .engine import ClassificationEngine, EngineConfig
 
-        engine = ClassificationEngine(
-            EngineConfig(
-                jobs=jobs,
-                memoize=memoize,
-                classifier_config=classifier_config,
-                max_pairs_per_location=max_pairs_per_location,
-                cache_dir=str(cache_dir) if cache_dir is not None else None,
-                replay_fast_path=replay_fast_path,
-                batching=batching,
-            )
+    engine = ClassificationEngine(
+        EngineConfig(
+            jobs=jobs,
+            classifier_config=classifier_config,
+            max_pairs_per_location=max_pairs_per_location,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
+            replay_fast_path=replay_fast_path,
         )
-        analyses = engine.analyze_executions(list(executions), perf=perf)
-    else:
-        cache = None
-        if cache_dir is not None:
-            from .cache import SuiteCache
+    )
+    return merge_suite(engine.analyze_executions(list(executions), perf=perf))
 
-            cache = SuiteCache(cache_dir)
-        analyses = [
-            analyze_execution(
-                execution,
-                classifier_config=classifier_config,
-                max_pairs_per_location=max_pairs_per_location,
-                perf=perf,
-                cache=cache,
-                replay_fast_path=replay_fast_path,
-            )
-            for execution in executions
-        ]
+
+def merge_suite(analyses: List[ExecutionAnalysis]) -> SuiteAnalysis:
+    """Merge per-execution analyses into per-static-race results and
+    attach the workloads' ground truth."""
     merged: Dict[StaticRaceKey, StaticRaceResult] = {}
     race_workloads: Dict[StaticRaceKey, Workload] = {}
     for analysis in analyses:

@@ -43,8 +43,7 @@ from .analysis.experiments import (
 )
 from .analysis.pipeline import analyze_suite
 from .isa.assembler import assemble
-from .race.classifier import ClassifierConfig, RaceClassifier
-from .race.happens_before import find_races
+from .race.classifier import ClassifierConfig
 from .race.suppression import SuppressionDB
 from .record.compression import compression_stats
 from .record.metrics import log_metrics
@@ -189,20 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="engine-based analysis of a recorded log (batched classification, "
-        "verdict memoization, incremental re-analysis)",
+        help="canonical JSON race report of a recorded log (incremental "
+        "re-analysis, portable verdict index)",
     )
     analyze.add_argument("log", type=Path, help="replay log file")
-    analyze.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="classify every instance individually (the pre-batching engine)",
-    )
-    analyze.add_argument(
-        "--no-memoize",
-        action="store_true",
-        help="disable verdict memoization entirely (implies no batching)",
-    )
     analyze.add_argument(
         "--incremental-from",
         type=Path,
@@ -286,14 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
+        metavar="N",
         help="worker processes for the classification engine (default 1)",
-    )
-    suite.add_argument(
-        "--memoize",
-        action="store_true",
-        help="reuse verdicts of structurally identical race instances",
     )
     suite.add_argument(
         "--perf",
@@ -305,11 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="content-addressed record cache directory (skips re-recording)",
-    )
-    suite.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir and always re-record",
     )
 
     report = sub.add_parser(
@@ -345,14 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
+        metavar="N",
         help="worker processes for suite-based experiments (default 1)",
-    )
-    experiment.add_argument(
-        "--memoize",
-        action="store_true",
-        help="reuse verdicts of structurally identical race instances",
     )
     experiment.add_argument(
         "--cache-dir",
@@ -690,26 +666,38 @@ def _cmd_detect(args, out) -> int:
 
 
 def _cmd_classify(args, out) -> int:
+    from .analysis.engine import ClassificationEngine, EngineConfig
     from .race.database import RaceDatabase
     from .race.triage import TriageSession
 
     log = load_log(args.log)
-    ordered = OrderedReplay(log)
+    detector_factory = None
     if args.from_log:
         # Detect on the zero-replay view (errors cleanly when the log has
-        # no captured columns); classification below still replays — the
+        # no captured columns); classification still replays — the
         # both-orders virtual processor needs machine state.  Instances
         # are value-identical between the paths, so the verdicts are too.
+        from .race.happens_before import HappensBeforeDetector
         from .replay.log_view import LogView
 
-        instances = find_races(LogView.from_log(log))
-    else:
-        instances = find_races(ordered)
-    config = ClassifierConfig(
-        allow_unrecorded_control_flow=args.continue_through_control_flow
+        view = LogView.from_log(log)
+
+        def detector_factory(ordered, max_pairs_per_location):
+            return HappensBeforeDetector(
+                view, max_pairs_per_location=max_pairs_per_location
+            )
+
+    engine = ClassificationEngine(
+        EngineConfig(
+            classifier_config=ClassifierConfig(
+                allow_unrecorded_control_flow=args.continue_through_control_flow
+            )
+        )
     )
-    classifier = RaceClassifier(ordered, config=config, execution_id=str(args.log))
-    classified = classifier.classify_all(instances)
+    analysis = engine.analyze_log(
+        log, execution_id=str(args.log), detector_factory=detector_factory
+    )
+    program = analysis.program
 
     suppressions = (
         SuppressionDB.load(args.suppressions)
@@ -722,7 +710,7 @@ def _cmd_classify(args, out) -> int:
         else RaceDatabase()
     )
     session = TriageSession(suppressions=suppressions, database=database)
-    outcome = session.process(ordered.program, log, classified)
+    outcome = session.process(program, log, analysis.classified)
     print(outcome.render(), file=out)
     if args.database:
         database.save(args.database)
@@ -733,7 +721,7 @@ def _cmd_classify(args, out) -> int:
         export_results(
             args.json_output,
             outcome.results,
-            ordered.program,
+            program,
             log=log,
             suppressions=suppressions,
         )
@@ -748,22 +736,12 @@ def _cmd_analyze(args, out) -> int:
     from .analysis.perf import PerfStats
     from .analysis.pipeline import execution_report, render_report
 
-    if args.export_verdicts and args.no_memoize:
-        raise ValueError(
-            "--export-verdicts needs the verdict cache; drop --no-memoize"
-        )
     if args.jobs > 1 and args.stream:
         raise ValueError(
             "--jobs parallelizes the batch detection sweep and cannot be "
             "combined with --stream; drop one of them"
         )
-    config = EngineConfig(
-        jobs=1,
-        memoize=not args.no_memoize,
-        batching=not args.no_batching,
-        cache_dir=args.cache_dir,
-    )
-    engine = ClassificationEngine(config)
+    engine = ClassificationEngine(EngineConfig(cache_dir=args.cache_dir))
     prior = None
     if args.incremental_from is not None:
         if args.incremental_from.suffix == ".json":
@@ -773,9 +751,9 @@ def _cmd_analyze(args, out) -> int:
         else:
             # A replay log: analyse it with a throwaway engine and splice
             # from its verdict index — "re-analyse against that old run".
-            prior = ClassificationEngine(
-                EngineConfig(jobs=1, memoize=True, batching=not args.no_batching)
-            ).analyze_log(load_log(args.incremental_from))
+            prior = ClassificationEngine().analyze_log(
+                load_log(args.incremental_from)
+            )
     perf = PerfStats()
     detector_factory = None
     if args.jobs > 1:
@@ -897,14 +875,9 @@ def _cmd_suite(args, out) -> int:
     from .analysis.statistics import corpus_statistics
     from .workloads.suite import paper_suite
 
-    cache_dir = None if args.no_cache else args.cache_dir
     perf = PerfStats()
     suite = analyze_suite(
-        paper_suite(),
-        jobs=args.jobs,
-        memoize=args.memoize,
-        perf=perf,
-        cache_dir=cache_dir,
+        paper_suite(), jobs=args.jobs, perf=perf, cache_dir=args.cache_dir
     )
     print(corpus_statistics(suite).render(), file=out)
     print("", file=out)
@@ -930,7 +903,7 @@ def _cmd_compare(args, out) -> int:
 def _cmd_experiment(args, out) -> int:
     experiment_id = args.experiment_id
     # Suite-based experiments share one engine-analysed suite so --jobs
-    # and --memoize apply; sec51/ablation_continue time their own runs.
+    # applies; sec51/ablation_continue time their own runs.
     suite = None
     if experiment_id in (
         "table1",
@@ -941,9 +914,7 @@ def _cmd_experiment(args, out) -> int:
         "ablation_detectors",
         "ablation_instances",
     ):
-        suite = run_suite(
-            jobs=args.jobs, memoize=args.memoize, cache_dir=args.cache_dir
-        )
+        suite = run_suite(jobs=args.jobs, cache_dir=args.cache_dir)
     if experiment_id == "table1":
         print(run_table1(suite).render(), file=out)
     elif experiment_id == "table2":

@@ -11,9 +11,18 @@ For every race instance the classifier:
    ``STATE_CHANGE``; a replay that leaves the recorded envelope →
    ``REPLAY_FAILURE``.
 
-Two redundancy-elimination optimisations (both on by default, both
-verified byte-identical to the naive path by the engine equivalence
-tests) make step 3 cheap:
+:meth:`RaceClassifier.classify_all` walks the instances in **batches**
+(:func:`repro.analysis.batching.plan_batches`): instances sharing a full
+structural key — racing offsets, region contents, recorded order — form
+one batch.  The first member that misses the verdict cache replays (the
+batch *leader*); every later member is served from the leader's cached
+verdict when its live-in agrees on the addresses the leader's replay
+probed (``batch_fanout``), or replays through the leader's rebound
+processor otherwise (``batch_fallbacks``).  The cache is private to the
+classifier unless the caller passes one in — the classification engine
+shares one for its whole lifetime.
+
+Two redundancy-elimination shortcuts make step 3 cheap:
 
 * **recorded-original synthesis** — the original-order replay follows the
   log throughout, so it *is* the recording; when the regions replayed
@@ -25,17 +34,21 @@ tests) make step 3 cheap:
   load seeds, stores) is likewise taken from the recording and only the
   divergent window — the racing pair and the region suffixes — executes
   live in the virtual processor.
+
+None of this changes a verdict: ``tests/oracles/naive_classifier.py`` is
+the plain per-instance loop without cache, batches or shortcuts, and the
+equivalence tests diff every entry point against it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.program import Program
 from ..record.log import ReplayLog
-from ..replay.errors import ReplayFailure, ReplayFailureKind
+from ..replay.errors import ReplayFailure
 from ..replay.events import ReplayedAccess
 from ..replay.ordered_replay import OrderedReplay
 from ..replay.regions import SequencingRegion
@@ -60,28 +73,60 @@ class ClassifierConfig:
     continue through control flow the recording never saw instead of
     failing — the A2 ablation measures what this buys.
 
-    ``reuse_recorded_original`` and ``fast_forward_prefix`` gate the
-    redundancy-elimination fast paths (see the module docstring).  They
-    change no verdict — the engine equivalence tests assert byte-identical
-    results — and exist as flags so the naive path stays available as the
-    reference for those tests and for A/B benchmarking.
+    ``store_replay_outcomes`` keeps both raw :class:`VPOutcome`\\ s on every
+    verdict; it bypasses the verdict cache, so every instance replays.
     """
 
     step_limit: int = 20_000
     allow_unrecorded_control_flow: bool = False
     allow_unknown_addresses: bool = False
     store_replay_outcomes: bool = False
-    reuse_recorded_original: bool = True
-    fast_forward_prefix: bool = True
-    detect_spin_cycles: bool = True
 
     def vp_config(self) -> VPConfig:
         return VPConfig(
             step_limit=self.step_limit,
             allow_unrecorded_control_flow=self.allow_unrecorded_control_flow,
             allow_unknown_addresses=self.allow_unknown_addresses,
-            detect_spin_cycles=self.detect_spin_cycles,
         )
+
+
+class TrackingView:
+    """A read-only live-in image that records every probe, *misses too*.
+
+    Backed by any mapping with ``.get`` (the lazy pair view of
+    :meth:`OrderedReplay.pair_live_in` or a plain dict).  The virtual
+    processor only ever reads the live-in image (``in``, ``[]``,
+    ``.get``); every such probe lands in :attr:`probes` as
+    ``address -> value`` (``None`` for a miss — memory values are
+    non-negative ints, so ``None`` is unambiguous).  Misses matter: a
+    replay that faulted on an absent address must not hit a cached verdict
+    computed when the address was present, and vice versa.
+    """
+
+    __slots__ = ("_get", "probes")
+
+    _MISS = object()
+
+    def __init__(self, backing) -> None:
+        self._get = backing.get
+        self.probes: Dict[int, Optional[int]] = {}
+
+    def get(self, key, default=None):
+        value = self._get(key, self._MISS)
+        if value is self._MISS:
+            self.probes[key] = None
+            return default
+        self.probes[key] = value
+        return value
+
+    def __contains__(self, key) -> bool:
+        return self.get(key, self._MISS) is not self._MISS
+
+    def __getitem__(self, key):
+        value = self.get(key, self._MISS)
+        if value is self._MISS:
+            raise KeyError(key)
+        return value
 
 
 @dataclass
@@ -100,25 +145,45 @@ class _RecordedSide:
 
 
 class RaceClassifier:
-    """Classifies race instances found in one replayed execution."""
+    """Classifies race instances found in one replayed execution.
+
+    ``cache`` is a :class:`repro.analysis.batching.VerdictCache` to share
+    across classifiers (the engine passes its engine-lifetime cache);
+    without one the classifier owns a private cache.
+    """
 
     def __init__(
         self,
         ordered: OrderedReplay,
         config: Optional[ClassifierConfig] = None,
         execution_id: str = "",
+        cache=None,
     ):
+        if cache is None:
+            # Local import: the analysis layer imports this module.
+            from ..analysis.batching import VerdictCache
+
+            cache = VerdictCache()
         self.ordered = ordered
         self.program: Program = ordered.program
         self.log: ReplayLog = ordered.log
         self.config = config or ClassifierConfig()
         self.execution_id = execution_id
-        #: Perf counters read by analysis.perf / the engine.
+        self.cache = cache
+        #: Perf counters, folded into a PerfStats by :meth:`collect_perf`.
         self.vp_runs = 0
         self.originals_synthesized = 0
         self.prefixes_fast_forwarded = 0
+        self.batches_planned = 0
+        self.batch_fanout = 0
+        self.batch_fallbacks = 0
+        #: batch size -> number of batches of that size.
+        self.batch_sizes: Dict[int, int] = {}
         # Per-thread / per-region caches shared across instances.
         self._footprints: Dict[str, set] = {}
+        self._sorted_footprints: Dict[str, tuple] = {}
+        #: (tid, region index) -> interned region-content id.
+        self._region_ids: Dict[Tuple[int, int], int] = {}
         self._recorded_loads: Dict[
             Tuple[int, int], Dict[int, Tuple[int, int]]
         ] = {}
@@ -139,25 +204,34 @@ class RaceClassifier:
 
     def classify_instance(self, instance: RaceInstance) -> ClassifiedInstance:
         """Run the both-orders replay analysis on one race instance."""
-        instance = self._canonicalize(instance)
-        live_in, freed = self.ordered.pair_snapshot(
-            instance.region_a, instance.region_b
-        )
-        return self._classify_with_state(instance, live_in, freed)
+        return self.classify_all([instance])[0]
 
     def classify_all(self, instances: List[RaceInstance]) -> List[ClassifiedInstance]:
-        """Classify every instance (the paper's full §5 analysis pass)."""
-        return [self.classify_instance(instance) for instance in instances]
+        """Classify every instance (the paper's full §5 analysis pass).
+
+        Results come back in input order, whatever the batch plan.
+        """
+        from ..analysis.batching import plan_batches
+
+        plan = plan_batches(self, instances)
+        self.batches_planned += plan.batch_count
+        for size, count in plan.size_histogram().items():
+            self.batch_sizes[size] = self.batch_sizes.get(size, 0) + count
+        results: List[Optional[ClassifiedInstance]] = [None] * len(instances)
+        for batch in plan.batches:
+            self._classify_batch(batch, results)
+        return results
 
     def collect_perf(self, stats) -> None:
-        """Fold this classifier's counters into a :class:`PerfStats`.
-
-        Subclasses with extra counters (the engine's batching classifier)
-        extend this, so the pipeline harvests uniformly.
-        """
+        """Fold this classifier's counters into a :class:`PerfStats`."""
         stats.vp_runs += self.vp_runs
         stats.originals_synthesized += self.originals_synthesized
         stats.prefixes_fast_forwarded += self.prefixes_fast_forwarded
+        stats.classify_batches += self.batches_planned
+        stats.batch_fanout += self.batch_fanout
+        stats.batch_fallbacks += self.batch_fallbacks
+        for size, count in self.batch_sizes.items():
+            stats.batch_sizes[size] = stats.batch_sizes.get(size, 0) + count
 
     def replay_pair(
         self, instance: RaceInstance
@@ -168,28 +242,125 @@ class RaceClassifier:
         caller as :class:`ReplayFailure`.
         """
         instance = self._canonicalize(instance)
-        live_in, freed = self.ordered.pair_snapshot(
+        live_in, freed = self.ordered.pair_live_in(
             instance.region_a, instance.region_b
         )
-        spec_a = self._thread_spec(instance.access_a, instance.region_a)
-        spec_b = self._thread_spec(instance.access_b, instance.region_b)
-        processor = VirtualProcessor(
-            self.program, live_in, freed, spec_a, spec_b, self.config.vp_config()
-        )
+        processor = self.batch_processor(instance, live_in, freed)
         original_first = self._original_first(instance)
-        alternative_first = (
-            instance.access_b.thread_name
-            if original_first == instance.access_a.thread_name
-            else instance.access_a.thread_name
-        )
         return (
             processor.run(first=original_first, follow_log=True),
-            processor.run(first=alternative_first),
+            processor.run(first=self._other_side(instance, original_first)),
         )
 
     # ------------------------------------------------------------------
-    # The per-instance analysis, with an injectable live-in state (the
-    # engine's memoizing classifier wraps this entry point).
+    # The batch walk.
+    # ------------------------------------------------------------------
+
+    def _classify_batch(
+        self, batch, results: List[Optional[ClassifiedInstance]]
+    ) -> None:
+        bypass = self.config.store_replay_outcomes
+        computed = False
+        for position, member in batch.members:
+            # Lazy pair live-in: cache probes and virtual-processor loads
+            # resolve one address at a time, so no member ever pays for a
+            # full pair-image reconstruction or copy.
+            live_in, freed = self.ordered.pair_live_in(
+                member.region_a, member.region_b
+            )
+            if not bypass:
+                template = self.cache.lookup(batch.key, live_in, freed)
+                if template is not None:
+                    if computed:
+                        self.batch_fanout += 1
+                    results[position] = self._from_template(member, template)
+                    continue
+            # Cache miss: this member replays.  The first replay of the
+            # batch builds the shared processor; probe-divergence
+            # fallbacks rebind it to their own live-in (sharing specs and
+            # the seeded prefix image — both functions of the batch key).
+            if computed:
+                self.batch_fallbacks += 1
+            tracking = TrackingView(live_in)
+            if batch.processor is None:
+                batch.processor = self.batch_processor(member, tracking, freed)
+                processor = batch.processor
+            else:
+                processor = batch.processor.rebind(tracking, freed)
+            result = self._classify_with_state(
+                member, tracking, freed, processor=processor
+            )
+            computed = True
+            if not bypass:
+                self.cache.store(
+                    batch.key,
+                    tracking.probes,
+                    freed,
+                    (
+                        result.outcome,
+                        result.original_first == member.access_a.thread_name,
+                        result.pre_value,
+                        result.failure_kind,
+                        result.failure_detail,
+                    ),
+                )
+            results[position] = result
+
+    def _from_template(
+        self, instance: RaceInstance, template
+    ) -> ClassifiedInstance:
+        outcome, first_is_a, pre_value, failure_kind, failure_detail = template
+        return ClassifiedInstance(
+            instance=instance,
+            outcome=outcome,
+            original_first=(
+                instance.access_a.thread_name
+                if first_is_a
+                else instance.access_b.thread_name
+            ),
+            pre_value=pre_value,
+            failure_kind=failure_kind,
+            failure_detail=failure_detail,
+            execution_id=self.execution_id,
+        )
+
+    def _region_content_id(
+        self, thread_name: str, region: SequencingRegion
+    ) -> int:
+        """Interned id of everything the recording says about ``region``
+        (:func:`repro.analysis.batching.region_content`); two regions with
+        equal ids are interchangeable for classification."""
+        region_key = (region.tid, region.index)
+        interned = self._region_ids.get(region_key)
+        if interned is None:
+            from ..analysis.batching import region_content
+
+            footprint = self._sorted_footprints.get(thread_name)
+            if footprint is None:
+                footprint = tuple(sorted(self._pc_footprint(thread_name)))
+                self._sorted_footprints[thread_name] = footprint
+            content = region_content(
+                self.ordered, thread_name, region, footprint=footprint
+            )
+            interned = self.cache.intern(content)
+            self._region_ids[region_key] = interned
+        return interned
+
+    def _structural_key(self, instance: RaceInstance) -> tuple:
+        """The batch/cache key of a canonicalized instance."""
+        access_a, access_b = instance.access_a, instance.access_b
+        region_a, region_b = instance.region_a, instance.region_b
+        return (
+            self.log.program_name,
+            access_a.thread_step - region_a.start_step,
+            self._region_content_id(access_a.thread_name, region_a),
+            access_b.thread_step - region_b.start_step,
+            self._region_content_id(access_b.thread_name, region_b),
+            self._original_first(instance) == access_a.thread_name,
+        )
+
+    # ------------------------------------------------------------------
+    # The per-instance analysis, with an injectable live-in state.
     # ------------------------------------------------------------------
 
     def batch_processor(
@@ -198,13 +369,12 @@ class RaceClassifier:
         live_in: Dict[int, int],
         freed: Dict[int, int],
     ) -> VirtualProcessor:
-        """A processor for ``instance``, reusable across a batch.
+        """A processor for ``instance``, reusable across its batch.
 
-        The engine's batched classifier builds one per batch (from the
-        first member that actually replays) and rebinds it for fallback
-        members — the specs, and the seeded prefix image derived from
-        them, are a function of the batch's structural key, not of the
-        member.
+        The batch walk builds one per batch (from the first member that
+        actually replays) and rebinds it for fallback members — the
+        specs, and the seeded prefix image derived from them, are a
+        function of the batch's structural key, not of the member.
         """
         spec_a = self._thread_spec(instance.access_a, instance.region_a)
         spec_b = self._thread_spec(instance.access_b, instance.region_b)
@@ -225,11 +395,7 @@ class RaceClassifier:
         if spec_a.racing_registers is not None and spec_b.racing_registers is not None:
             self.prefixes_fast_forwarded += 1
         original_first = self._original_first(instance)
-        alternative_first = (
-            instance.access_b.thread_name
-            if original_first == instance.access_a.thread_name
-            else instance.access_a.thread_name
-        )
+        alternative_first = self._other_side(instance, original_first)
         pre_value = live_in.get(instance.address, 0)
 
         try:
@@ -240,9 +406,7 @@ class RaceClassifier:
             # over-limit region) it is re-executed as in the paper.  The
             # alternative replay follows the log up to the racing pair,
             # flips the pair, and runs live from there.
-            original = None
-            if self.config.reuse_recorded_original:
-                original = self._synthesized_original(instance, original_first)
+            original = self._synthesized_original(instance, original_first)
             if original is None:
                 original = processor.run(first=original_first, follow_log=True)
                 self.vp_runs += 1
@@ -493,16 +657,15 @@ class RaceClassifier:
         replay = self.ordered.thread_replays[access.thread_name]
         racing_registers = racing_pc = None
         prefix_accesses = prefix_static_ids = None
-        if self.config.fast_forward_prefix:
-            racing_registers = replay.registers_at_step.get(access.thread_step)
-            if racing_registers is not None:
-                racing_pc = replay.pcs[access.thread_step]
-                prefix_accesses = tuple(
-                    replay.accesses_in_steps(region.start_step, access.thread_step)
-                )
-                prefix_static_ids = tuple(
-                    replay.static_ids[region.start_step : access.thread_step]
-                )
+        racing_registers = replay.registers_at_step.get(access.thread_step)
+        if racing_registers is not None:
+            racing_pc = replay.pcs[access.thread_step]
+            prefix_accesses = tuple(
+                replay.accesses_in_steps(region.start_step, access.thread_step)
+            )
+            prefix_static_ids = tuple(
+                replay.static_ids[region.start_step : access.thread_step]
+            )
         return VPThreadSpec(
             thread_name=access.thread_name,
             block=block,
@@ -538,3 +701,9 @@ class RaceClassifier:
                 else instance.access_b.thread_name
             )
         return self._earlier_region(instance).thread_name
+
+    @staticmethod
+    def _other_side(instance: RaceInstance, thread_name: str) -> str:
+        if thread_name == instance.access_a.thread_name:
+            return instance.access_b.thread_name
+        return instance.access_a.thread_name

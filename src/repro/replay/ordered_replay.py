@@ -207,18 +207,22 @@ class VersionedImage:
         return _LazyImageView(self._history, version, excluded)
 
 
+_INF = float("inf")
+_UNRESOLVED = object()
+
+
 class _LazyImageView:
     """Lazy point-in-time read of a :class:`VersionedImage`.
 
     Supports the read-only mapping protocol the classifier and virtual
     processor use on live-in images (``get``/``in``/``[]``) and resolves
-    each address with one bisect on demand.  The batched classifier reads
+    each address with one bisect on demand.  The classifier reads
     pair live-in state through this view: verdict-cache probes and
     virtual-processor loads only ever touch a handful of addresses, so
     materializing the full image per racing pair is wasted work there.
     """
 
-    __slots__ = ("_history", "_version", "_excluded")
+    __slots__ = ("_history", "_version", "_excluded", "_resolved")
 
     _MISS = object()
 
@@ -231,27 +235,33 @@ class _LazyImageView:
         self._history = history
         self._version = version
         self._excluded = excluded
+        #: address -> resolved value (or _MISS): every instance of a racing
+        #: pair shares this view, and their replays probe the same words.
+        self._resolved: Dict[int, object] = {}
 
     def _resolve(self, address: int):
+        value = self._MISS
         entries = self._history.get(address)
-        if entries is None:
-            return self._MISS
-        position = bisect_right(entries, (self._version, float("inf"))) - 1
-        while position >= 0 and entries[position][2] in self._excluded:
-            position -= 1
-        if position < 0:
-            return self._MISS
-        return entries[position][1]
+        if entries is not None:
+            position = bisect_right(entries, (self._version, _INF)) - 1
+            while position >= 0 and entries[position][2] in self._excluded:
+                position -= 1
+            if position >= 0:
+                value = entries[position][1]
+        self._resolved[address] = value
+        return value
 
     def get(self, address: int, default=None):
-        value = self._resolve(address)
+        value = self._resolved.get(address, _UNRESOLVED)
+        if value is _UNRESOLVED:
+            value = self._resolve(address)
         return default if value is self._MISS else value
 
     def __contains__(self, address: int) -> bool:
-        return self._resolve(address) is not self._MISS
+        return self.get(address, self._MISS) is not self._MISS
 
     def __getitem__(self, address: int):
-        value = self._resolve(address)
+        value = self.get(address, self._MISS)
         if value is self._MISS:
             raise KeyError(address)
         return value
@@ -535,22 +545,9 @@ class OrderedReplay:
         at the later region's opening version with the earlier region's
         stores filtered out, instead of the seed's full per-pair re-walk.
 
-        Returned dicts are fresh copies — callers may mutate them.
-        """
-        image, freed = self.pair_snapshot_view(region_a, region_b)
-        return dict(image), dict(freed)
-
-    def pair_snapshot_view(
-        self, region_a: SequencingRegion, region_b: SequencingRegion
-    ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Like :meth:`pair_snapshot` but returns the cached dicts directly.
-
-        The returned dicts are shared with the snapshot cache and **must
-        not be mutated**.  The batched classifier uses this view: with
-        hundreds of instances fanning out from one cached pair snapshot,
-        the per-instance ``dict(image)`` copy is most of the classify-stage
-        cost, and the virtual processor and verdict cache only ever read
-        the live-in image and freed ranges.
+        Returned dicts are fresh copies — callers may mutate them.  The
+        classifier itself reads the lazy :meth:`pair_live_in` instead;
+        this materialized form serves the naive oracle and tests.
         """
         key = (region_key(region_a), region_key(region_b))
         if key[0] > key[1]:
@@ -567,7 +564,8 @@ class OrderedReplay:
                 self._image.reconstruct(version, excluded={region_key(earlier)}),
                 self._freed_at(version),
             )
-        return self._pair_snapshots[key]
+        image, freed = self._pair_snapshots[key]
+        return dict(image), dict(freed)
 
     def pair_live_in(
         self, region_a: SequencingRegion, region_b: SequencingRegion

@@ -62,10 +62,6 @@ class VPConfig:
     step_limit: int = 20_000
     allow_unrecorded_control_flow: bool = False
     allow_unknown_addresses: bool = False
-    #: Prove STEP_LIMIT early when a live thread provably spins forever
-    #: (see :meth:`VirtualProcessor._run_to_region_end`).  Same verdicts,
-    #: without interpreting up to ``step_limit`` instructions first.
-    detect_spin_cycles: bool = True
 
 
 @dataclass
@@ -148,8 +144,9 @@ def same_state(
         return False
     touched = set(outcome_a.dirty_memory) | set(outcome_b.dirty_memory)
     for address in touched:
-        value_a = outcome_a.dirty_memory.get(address, live_in.get(address, 0))
-        value_b = outcome_b.dirty_memory.get(address, live_in.get(address, 0))
+        base = live_in.get(address, 0)
+        value_a = outcome_a.dirty_memory.get(address, base)
+        value_b = outcome_b.dirty_memory.get(address, base)
         if value_a != value_b:
             return False
     return True
@@ -274,7 +271,7 @@ class VirtualProcessor:
 
         Shares the specs, config and the prefix-seed holder (the seed is a
         pure function of the specs); only the live-in image and freed
-        ranges differ.  The batched classifier rebinds the batch leader's
+        ranges differ.  The classifier rebinds the batch leader's
         processor for probe-divergence fallback members instead of
         rebuilding specs and re-deriving the prefix image.
         """
@@ -371,7 +368,13 @@ class VirtualProcessor:
     _SPIN_CHECK_AFTER = 64
 
     def _run_to_region_end(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        if not self.config.detect_spin_cycles or thread.follow_log:
+        """Run ``thread`` to its region end, cutting off provable spins.
+
+        A live thread that provably spins forever raises the exact
+        STEP_LIMIT failure early instead of interpreting up to
+        ``step_limit`` instructions first — same verdicts, far less work.
+        """
+        if thread.follow_log:
             # A log-following thread's loads are keyed by step number, so a
             # repeated (pc, registers) state does *not* imply repetition;
             # cycle detection is sound only for live threads.
@@ -462,11 +465,15 @@ class VirtualProcessor:
 
     def _read(self, address: int, memory: "_VPMemory") -> int:
         self._check_address(address)
-        if address in memory.values:
-            return memory.values[address]
-        if address in self.live_in:
-            memory.values[address] = self.live_in[address]
-            return memory.values[address]
+        values = memory.values
+        if address in values:
+            return values[address]
+        # One probe per first read: the live-in image may be a lazy view
+        # (one bisect per lookup) under a probe-recording tracker.
+        value = self.live_in.get(address)
+        if value is not None:
+            values[address] = value
+            return value
         if self.config.allow_unknown_addresses:
             # §4.2.1 extension: treat the address as zero-filled memory
             # (what the machine would return for a never-written word).

@@ -1,20 +1,22 @@
-"""Property-based tests: batched + incremental classification equivalence.
+"""Property-based tests: the one classifier against the naive oracle.
 
-For random recorded programs, the batched engine and a warm incremental
-re-analysis spliced from its verdict index must both render the exact
-report bytes of the per-instance paths — the plain (unmemoized)
-classifier and the per-instance memoized engine.  This is the
-whole-pipeline version of the unit equivalence tests: any drift in
-canonicalization, batch planning, lazy live-in resolution, probe
-tracking or index splicing shows up as a byte diff here.
+For random recorded programs, the engine's batched classification and a
+warm incremental re-analysis spliced from its verdict index must both
+render the exact report bytes of the naive per-instance oracle
+(``tests/oracles/naive_classifier``).  This is the whole-pipeline
+version of the unit equivalence tests: any drift in canonicalization,
+batch planning, lazy live-in resolution, probe tracking, the replay
+shortcuts or index splicing shows up as a byte diff here.
 """
 
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis.engine import ClassificationEngine, EngineConfig
+from oracles import naive_log_analysis
+from repro.analysis.engine import ClassificationEngine
 from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import execution_report, render_report
 from repro.isa import assemble
+from repro.race.classifier import RaceClassifier
 from repro.record import record_run
 from repro.vm import RandomScheduler
 
@@ -41,9 +43,14 @@ def _report(analysis):
     return render_report(execution_report(analysis))
 
 
-def _engine(batching):
-    return ClassificationEngine(
-        EngineConfig(jobs=1, memoize=True, batching=batching)
+def _verdict(entry):
+    return (
+        entry.instance.static_key,
+        entry.outcome,
+        entry.original_first,
+        entry.pre_value,
+        entry.failure_kind,
+        entry.failure_detail,
     )
 
 
@@ -52,21 +59,23 @@ class TestBatchedEngineEquivalence:
     @_SETTINGS
     def test_batched_and_incremental_match_per_instance(self, source, seed):
         log = _recorded_log(source, seed)
-        naive = ClassificationEngine(
-            EngineConfig(jobs=1, memoize=False)
-        ).analyze_log(log)
+        naive = naive_log_analysis(log)
         reference = _report(naive)
 
-        memoized = _engine(batching=False).analyze_log(log)
-        assert _report(memoized) == reference
-
-        batched = _engine(batching=True).analyze_log(log)
+        batched = ClassificationEngine().analyze_log(log)
         assert _report(batched) == reference
+
+        # Instance by instance: one-member batches over one cache.
+        classifier = RaceClassifier(naive.ordered, execution_id=naive.execution_id)
+        single = [classifier.classify_instance(i) for i in naive.instances]
+        assert [_verdict(entry) for entry in single] == [
+            _verdict(entry) for entry in naive.classified
+        ]
 
         # A warm engine spliced from the batched run's verdict index
         # must reproduce the same bytes without a single replay.
         warm_stats = PerfStats()
-        warm = _engine(batching=True).analyze_log(
+        warm = ClassificationEngine().analyze_log(
             log, perf=warm_stats, prior=batched
         )
         assert _report(warm) == reference

@@ -1,11 +1,12 @@
 """Unit tests: batch planning, lazy pair live-in, the portable index.
 
-The batched classifier must be a pure execution-plan change: same cache
-entries, same verdicts, byte for byte.  These tests pin the pieces that
-make that true — the planner's grouping, the lazy live-in view's
-address-for-address agreement with ``pair_snapshot``, the probe tracking,
-the probe-divergence fallback, and the portable verdict index's
-defensive absorb / collision guard.
+Batching must be a pure execution-plan change: the same cache entries
+and the same verdicts, byte for byte, as classifying one instance at a
+time (one-member batches) and as the naive oracle.  These tests pin the
+pieces that make that true — the planner's grouping, the lazy live-in
+view's address-for-address agreement with ``pair_snapshot``, the probe
+tracking, the probe-divergence fallback, and the portable verdict
+index's defensive absorb / collision guard.
 """
 
 import copy
@@ -21,18 +22,12 @@ from repro.analysis.batching import (
     plan_batches,
     region_content,
 )
-from repro.analysis.engine import (
-    BatchingClassifier,
-    ClassificationEngine,
-    EngineConfig,
-    MemoizingClassifier,
-    TrackingImage,
-    TrackingView,
-    VerdictCache,
-)
+from oracles import NaiveRaceClassifier
+from repro.analysis.batching import VerdictCache
+from repro.analysis.engine import ClassificationEngine, EngineConfig
 from repro.analysis.perf import PerfStats
 from repro.isa import assemble
-from repro.race.classifier import ClassifierConfig, RaceClassifier
+from repro.race.classifier import ClassifierConfig, RaceClassifier, TrackingView
 from repro.race.happens_before import find_races
 from repro.race.model import RaceInstance
 from repro.record import record_run
@@ -109,15 +104,20 @@ def analysis_verdicts(analysis):
     return [verdict_tuple(entry) for entry in analysis.classified]
 
 
-def fresh_classifier(cls, ordered):
+def fresh_classifier(ordered, cls=RaceClassifier):
     return cls(ordered, config=ClassifierConfig(), execution_id="t")
+
+
+def one_at_a_time(classifier, instances):
+    """The per-instance path: every instance a one-member batch."""
+    return [classifier.classify_instance(instance) for instance in instances]
 
 
 class TestPlanBatches:
     def test_groups_content_identical_instances(self):
         _, ordered, instances = batchy_pipeline()
         assert len(instances) > 1
-        classifier = fresh_classifier(BatchingClassifier, ordered)
+        classifier = fresh_classifier(ordered)
         plan = plan_batches(classifier, instances)
         assert plan.total_instances == len(instances)
         assert sum(batch.size for batch in plan.batches) == len(instances)
@@ -127,7 +127,7 @@ class TestPlanBatches:
 
     def test_positions_are_a_permutation_in_input_order(self):
         _, ordered, instances = batchy_pipeline()
-        classifier = fresh_classifier(BatchingClassifier, ordered)
+        classifier = fresh_classifier(ordered)
         plan = plan_batches(classifier, instances)
         positions = [
             position for batch in plan.batches for position, _ in batch.members
@@ -139,7 +139,7 @@ class TestPlanBatches:
 
     def test_members_share_the_structural_key(self):
         _, ordered, instances = batchy_pipeline()
-        classifier = fresh_classifier(BatchingClassifier, ordered)
+        classifier = fresh_classifier(ordered)
         plan = plan_batches(classifier, instances)
         for batch in plan.batches:
             for _, member in batch.members:
@@ -147,7 +147,7 @@ class TestPlanBatches:
 
     def test_size_histogram_accounts_for_every_batch(self):
         _, ordered, instances = batchy_pipeline()
-        classifier = fresh_classifier(BatchingClassifier, ordered)
+        classifier = fresh_classifier(ordered)
         plan = plan_batches(classifier, instances)
         histogram = plan.size_histogram()
         assert sum(histogram.values()) == plan.batch_count
@@ -159,20 +159,18 @@ class TestPlanBatches:
 class TestBatchedVerdictEquivalence:
     def test_batched_matches_memoized_and_naive(self):
         _, ordered, instances = batchy_pipeline()
-        naive = fresh_classifier(RaceClassifier, ordered).classify_all(instances)
-        memoized = fresh_classifier(MemoizingClassifier, ordered).classify_all(
+        naive = fresh_classifier(ordered, NaiveRaceClassifier).classify_all(
             instances
         )
-        batched = fresh_classifier(BatchingClassifier, ordered).classify_all(
-            instances
-        )
+        memoized = one_at_a_time(fresh_classifier(ordered), instances)
+        batched = fresh_classifier(ordered).classify_all(instances)
         reference = [verdict_tuple(entry) for entry in naive]
         assert [verdict_tuple(entry) for entry in memoized] == reference
         assert [verdict_tuple(entry) for entry in batched] == reference
 
     def test_fanout_counts_cache_served_members(self):
         _, ordered, instances = batchy_pipeline()
-        classifier = fresh_classifier(BatchingClassifier, ordered)
+        classifier = fresh_classifier(ordered)
         classifier.classify_all(instances)
         assert classifier.batches_planned > 0
         assert classifier.batch_fanout > 0
@@ -186,21 +184,21 @@ class TestBatchedVerdictEquivalence:
         # before any store, then 5 or 7), so some members of a batch
         # diverge on the pre-value probe and must replay individually.
         _, ordered, instances = batchy_pipeline()
-        memoized = fresh_classifier(MemoizingClassifier, ordered).classify_all(
+        naive = fresh_classifier(ordered, NaiveRaceClassifier).classify_all(
             instances
         )
-        classifier = fresh_classifier(BatchingClassifier, ordered)
+        classifier = fresh_classifier(ordered)
         batched = classifier.classify_all(instances)
         assert classifier.batch_fallbacks > 0
         assert [verdict_tuple(e) for e in batched] == [
-            verdict_tuple(e) for e in memoized
+            verdict_tuple(e) for e in naive
         ]
 
     def test_batched_and_memoized_build_identical_cache_entries(self):
         _, ordered, instances = batchy_pipeline()
-        memoized = fresh_classifier(MemoizingClassifier, ordered)
-        memoized.classify_all(instances)
-        batched = fresh_classifier(BatchingClassifier, ordered)
+        memoized = fresh_classifier(ordered)
+        one_at_a_time(memoized, instances)
+        batched = fresh_classifier(ordered)
         batched.classify_all(instances)
         assert memoized.cache.export_portable() == batched.cache.export_portable()
 
@@ -237,18 +235,24 @@ class TestLazyPairLiveIn:
         assert swapped[0] is first[0]
 
     def test_tracking_view_records_probes_like_tracking_image(self):
-        backing = {10: 1, 20: 2}
-        image = TrackingImage(backing)
-        view = TrackingView(dict(backing))
-        for tracker in (image, view):
-            assert tracker[10] == 1
-            assert tracker.get(20) == 2
-            assert tracker.get(99) is None
-            assert 98 not in tracker
-            with pytest.raises(KeyError):
-                tracker[97]
-        assert view.probes == image.probes
-        assert view.probes == {10: 1, 20: 2, 99: None, 98: None, 97: None}
+        # Tracking the lazy pair view records exactly the probes (and
+        # values) tracking the materialized pair image does.
+        _, ordered, instances = batchy_pipeline()
+        for instance in instances:
+            snapshot, _ = ordered.pair_snapshot(instance.region_a, instance.region_b)
+            view, _ = ordered.pair_live_in(instance.region_a, instance.region_b)
+            image = TrackingView(snapshot)
+            lazy = TrackingView(view)
+            absent = max(snapshot, default=0) + 1024
+            for tracker in (image, lazy):
+                for address in list(snapshot)[:3]:
+                    assert tracker[address] == snapshot[address]
+                assert tracker.get(absent) is None
+                assert absent + 1 not in tracker
+                with pytest.raises(KeyError):
+                    tracker[absent + 2]
+            assert lazy.probes == image.probes
+            assert image.probes[absent] is None
 
 
 class TestPortableIndex:

@@ -272,3 +272,11 @@ class TestParser:
     def test_experiment_requires_valid_id(self):
         with pytest.raises(SystemExit):
             run_cli(["experiment", "table99"])
+
+    @pytest.mark.parametrize("verb", [["suite"], ["experiment", "table1"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, verb, jobs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(verb + ["--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err

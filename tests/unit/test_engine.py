@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.analysis.engine import (
-    ClassificationEngine,
-    EngineConfig,
-    MemoizingClassifier,
-    TrackingImage,
-    VerdictCache,
-)
+from oracles import NaiveRaceClassifier
+from repro.analysis.batching import VerdictCache
+from repro.analysis.engine import ClassificationEngine, EngineConfig
 from repro.analysis.perf import PerfStats
 from repro.isa import assemble
-from repro.race.classifier import ClassifierConfig, RaceClassifier
+from repro.race.classifier import ClassifierConfig, RaceClassifier, TrackingView
 from repro.race.happens_before import find_races
 from repro.race.outcomes import InstanceOutcome
 from repro.record import record_run
@@ -76,15 +72,17 @@ def verdict_tuple(entry):
 
 
 class TestTrackingImage:
+    """Probe tracking over a live-in image (:class:`TrackingView`)."""
+
     def test_records_hits(self):
-        image = TrackingImage({10: 1, 20: 2})
+        image = TrackingView({10: 1, 20: 2})
         assert image[10] == 1
         assert image.get(20) == 2
         assert 10 in image
         assert image.probes == {10: 1, 20: 2}
 
     def test_records_misses_as_none(self):
-        image = TrackingImage({10: 1})
+        image = TrackingView({10: 1})
         assert image.get(99) is None
         assert 98 not in image
         with pytest.raises(KeyError):
@@ -92,7 +90,7 @@ class TestTrackingImage:
         assert image.probes == {99: None, 98: None, 97: None}
 
     def test_unprobed_addresses_not_recorded(self):
-        image = TrackingImage({10: 1, 20: 2})
+        image = TrackingView({10: 1, 20: 2})
         image.get(10)
         assert 20 not in image.probes
 
@@ -140,12 +138,14 @@ class TestVerdictCache:
 
 
 class TestMemoizingClassifier:
+    """The classifier's verdict cache, shared or private."""
+
     def test_identical_recordings_hit_the_cache(self):
         cache = VerdictCache()
         reference = []
         for run in range(2):
             _, ordered, instances = pipeline(RACY_RMW, seed=5)
-            classifier = MemoizingClassifier(
+            classifier = RaceClassifier(
                 ordered, cache=cache, execution_id="run%d" % run
             )
             classified = classifier.classify_all(instances)
@@ -159,15 +159,15 @@ class TestMemoizingClassifier:
 
     def test_verdicts_match_plain_classifier(self):
         _, ordered, instances = pipeline(RACY_RMW, seed=5)
-        plain = RaceClassifier(ordered, execution_id="x").classify_all(instances)
+        plain = NaiveRaceClassifier(ordered, execution_id="x").classify_all(instances)
         _, ordered2, instances2 = pipeline(RACY_RMW, seed=5)
-        memo = MemoizingClassifier(ordered2, execution_id="x").classify_all(instances2)
+        memo = RaceClassifier(ordered2, execution_id="x").classify_all(instances2)
         assert [verdict_tuple(c) for c in plain] == [verdict_tuple(c) for c in memo]
 
     def test_store_replay_outcomes_bypasses_cache(self):
         _, ordered, instances = pipeline(RACY_RMW, seed=5)
         config = ClassifierConfig(store_replay_outcomes=True)
-        classifier = MemoizingClassifier(ordered, config=config)
+        classifier = RaceClassifier(ordered, config=config)
         classified = classifier.classify_all(instances)
         assert classifier.cache.hits == 0 and classifier.cache.misses == 0
         assert any(c.original_replay is not None for c in classified)
@@ -194,14 +194,7 @@ class TestReplayShortcuts:
         assert fast.originals_synthesized == 0
 
         _, ordered2, instances2 = pipeline(FAULTING, schedule=schedule)
-        naive = RaceClassifier(
-            ordered2,
-            config=ClassifierConfig(
-                reuse_recorded_original=False,
-                fast_forward_prefix=False,
-                detect_spin_cycles=False,
-            ),
-        )
+        naive = NaiveRaceClassifier(ordered2)
         assert [verdict_tuple(c) for c in naive.classify_all(instances2)] == [
             verdict_tuple(c) for c in classified
         ]
@@ -226,12 +219,7 @@ class TestReplayShortcuts:
         _, ordered, instances = pipeline(SPIN_WAIT, schedule=SPIN_SCHEDULE)
         fast = RaceClassifier(ordered).classify_all(instances)
         _, ordered2, instances2 = pipeline(SPIN_WAIT, schedule=SPIN_SCHEDULE)
-        naive_config = ClassifierConfig(
-            reuse_recorded_original=False,
-            fast_forward_prefix=False,
-            detect_spin_cycles=False,
-        )
-        naive = RaceClassifier(ordered2, config=naive_config).classify_all(instances2)
+        naive = NaiveRaceClassifier(ordered2).classify_all(instances2)
         assert [verdict_tuple(c) for c in fast] == [verdict_tuple(c) for c in naive]
 
 
@@ -279,15 +267,13 @@ class TestPerfStats:
 
 
 class TestEngineConfig:
-    def test_engine_without_memoization_uses_plain_classifier(self):
-        _, ordered, _ = pipeline(RACY_RMW)
-        engine = ClassificationEngine(EngineConfig(memoize=False))
-        classifier = engine._classifier_factory(ordered, None, "x")
-        assert type(classifier) is RaceClassifier
-
     def test_engine_classifiers_share_the_cache(self):
-        _, ordered, _ = pipeline(RACY_RMW)
         engine = ClassificationEngine(EngineConfig())
-        first = engine._classifier_factory(ordered, None, "a")
-        second = engine._classifier_factory(ordered, None, "b")
-        assert first.cache is engine.cache and second.cache is engine.cache
+        first = engine.analyze_log(pipeline(RACY_RMW, seed=5)[1].log)
+        assert first.classified
+        hits, misses = engine.cache.hits, engine.cache.misses
+        second = engine.analyze_log(pipeline(RACY_RMW, seed=5)[1].log)
+        # The second, identical recording is served entirely from the
+        # engine-lifetime cache the first analysis filled.
+        assert engine.cache.hits - hits == len(second.classified)
+        assert engine.cache.misses == misses
