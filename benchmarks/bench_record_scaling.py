@@ -1,17 +1,19 @@
-"""Record-stage speedup: the generic reference interpreter vs the fast path.
+"""Record-stage cost: the generic oracle machine vs the shipped machine.
 
-The seed ``Machine.run`` re-derived everything about an instruction on
-every step — fresh ``StaticInstructionId`` objects, mnemonic string
-chains, operand isinstance tests, by-name ALU lookups — and the seed
-``Recorder`` built one record object per event.  The fast path predecodes
-each code block once into dense dispatch records
+The oracle machine (``GenericMachine`` in
+``tests/oracles/generic_interpreters.py``, the seed's interpreter)
+re-derives everything about an instruction on every step — mnemonic
+string chains, operand isinstance tests, by-name ALU lookups — and
+rebuilds the runnable list every iteration.  The shipped machine
+predecodes each code block once into dense dispatch records
 (:mod:`repro.isa.predecode`), maintains the runnable list incrementally,
-and captures events into columnar arrays.  This benchmark scales
-compute-heavy racy loop workloads, records each one through both
-interpreters, asserts the resulting :class:`ReplayLog`\\ s and machine
-results are identical, and gates on the fast path being >=2x faster on
-the largest workload.  It also times the content-addressed suite cache
-(:mod:`repro.analysis.cache`) serving the same recording from disk.
+and the recorder captures events into columnar arrays.  This benchmark
+scales compute-heavy racy loop workloads, records each one through both
+machines, asserts the resulting :class:`ReplayLog`\\ s and machine
+results are identical, and gates on the shipped machine being >=2x
+faster on the largest workload.  It also times the content-addressed
+suite cache (:mod:`repro.analysis.cache`) serving the same recording
+from disk.
 
 Runs both under pytest (``pytest benchmarks/bench_record_scaling.py``)
 and as a script::
@@ -27,8 +29,10 @@ the log-equivalence gate, not the timing gate.
 from __future__ import annotations
 
 import gc
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 from conftest import (
     INTERP_QUICK_SIZES,
@@ -42,6 +46,9 @@ from repro.analysis.cache import SuiteCache
 from repro.isa import assemble
 from repro.record import record_run
 from repro.vm import RandomScheduler
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import generic_record_run  # noqa: E402
 
 #: Four threads in two independent racy pairs, with enough straight-line
 #: ALU work per iteration to look like computation rather than pure
@@ -85,10 +92,11 @@ SEED = SCALING_SEED
 MAX_STEPS = 2_000_000
 
 
-def _record(iters: int, fast_path: bool):
-    """One recorded run; the program and scheduler are rebuilt per run so
-    neither predecode caches nor RNG state leak between timings, and the
-    garbage collector stays out of the timed window."""
+def _record(iters: int, recorder):
+    """One recorded run through ``recorder``; the program and scheduler
+    are rebuilt per run so neither predecode caches nor RNG state leak
+    between timings, and the garbage collector stays out of the timed
+    window."""
     program = assemble(SOURCE_TEMPLATE.format(iters=iters), name="recscale%d" % iters)
     scheduler = RandomScheduler(seed=SEED, switch_probability=0.3)
     gc_was_enabled = gc.isenabled()
@@ -96,12 +104,11 @@ def _record(iters: int, fast_path: bool):
     gc.disable()
     try:
         start = time.perf_counter()
-        result, log = record_run(
+        result, log = recorder(
             program,
             scheduler=scheduler,
             seed=SEED,
             max_steps=MAX_STEPS,
-            fast_path=fast_path,
         )
         elapsed = time.perf_counter() - start
     finally:
@@ -111,14 +118,14 @@ def _record(iters: int, fast_path: bool):
 
 
 def _measure_pair(iters: int, repeats: int):
-    """Min-of-``repeats`` for both interpreters, fast/slow interleaved so
-    machine-load drift lands on both sides rather than biasing one."""
+    """Min-of-``repeats`` for both machines, interleaved so machine-load
+    drift lands on both sides rather than biasing one."""
     fast_s = slow_s = None
     fast_result = fast_log = slow_result = slow_log = None
     for _ in range(repeats):
-        elapsed, fast_result, fast_log = _record(iters, True)
+        elapsed, fast_result, fast_log = _record(iters, record_run)
         fast_s = elapsed if fast_s is None else min(fast_s, elapsed)
-        elapsed, slow_result, slow_log = _record(iters, False)
+        elapsed, slow_result, slow_log = _record(iters, generic_record_run)
         slow_s = elapsed if slow_s is None else min(slow_s, elapsed)
     return fast_s, fast_result, fast_log, slow_s, slow_result, slow_log
 
@@ -134,7 +141,7 @@ def _time_cache_hit(result, log, repeats: int) -> float:
 
 
 def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
-    """Time generic vs fast recording per size; assert identical logs."""
+    """Time oracle vs shipped recording per size; assert identical logs."""
     rows = []
     for iters in sizes:
         fast_s, fast_result, fast_log, slow_s, slow_result, slow_log = _measure_pair(
@@ -142,7 +149,7 @@ def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
         )
         if fast_log != slow_log:
             raise AssertionError(
-                "fast-path log diverges from the reference at iters=%d" % iters
+                "recorded log diverges from the oracle's at iters=%d" % iters
             )
         if (
             fast_result.output != slow_result.output
@@ -151,7 +158,7 @@ def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
             or fast_result.threads != slow_result.threads
         ):
             raise AssertionError(
-                "fast-path machine result diverges at iters=%d" % iters
+                "machine result diverges from the oracle's at iters=%d" % iters
             )
         cache_s = _time_cache_hit(fast_result, fast_log, repeats)
         rows.append(
@@ -160,8 +167,8 @@ def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
                 "steps": fast_log.total_instructions,
                 "events": fast_log.captured.total_events,
                 "predicted_loads": fast_log.captured.predicted_loads,
-                "slow_s": round(slow_s, 4),
-                "fast_s": round(fast_s, 4),
+                "oracle_record_s": round(slow_s, 4),
+                "record_s": round(fast_s, 4),
                 "cache_hit_s": round(cache_s, 4),
                 "speedup": round(slow_s / fast_s, 2) if fast_s else 0.0,
                 "cache_speedup": round(slow_s / cache_s, 2) if cache_s else 0.0,
@@ -179,12 +186,12 @@ def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
     }
 
 
-def test_fast_path_beats_generic_reference(results_dir):
+def test_record_beats_generic_oracle(results_dir):
     result = run_benchmark(sizes=SIZES, repeats=5)
     write_result(result, results_dir / "BENCH_record.json")
     assert result["logs_identical"]
     assert result["speedup"] >= 2.0, (
-        "fast-path record must be >=2x over the generic reference "
+        "record must be >=2x over the generic oracle machine "
         "on the largest workload (got %.2fx)" % result["speedup"]
     )
 

@@ -1,19 +1,21 @@
-"""Replay-stage speedup: the generic reference replayer vs the fast path.
+"""Replay-stage cost: the generic oracle replayer vs the shipped replay.
 
-The seed replay stage re-interpreted every thread eagerly — one Python
-dispatch per retired instruction, one :class:`ReplayedAccess` object per
-memory event, one full register-tuple snapshot per region boundary and
-per access — before the ordered walk or the access index could run.  The
-fast path predecodes each block once (:mod:`repro.isa.predecode`), feeds
+The oracle (``GenericOrderedReplay`` in
+``tests/oracles/generic_interpreters.py``, the seed's replay stage)
+re-interprets every thread eagerly — one Python dispatch per retired
+instruction, one :class:`ReplayedAccess` object per memory event, one
+full register-tuple snapshot per region boundary and per access —
+before the ordered walk or the access index can run.  The shipped
+replay predecodes each block once (:mod:`repro.isa.predecode`), feeds
 the ordered walk and the columnar :class:`AccessIndex` straight from the
 recorder's captured columns (no instruction is re-interpreted at all on
 fresh recordings and v3 binary round trips), and materializes access
 objects and register snapshots lazily, only where an analysis actually
 looks.  This benchmark scales compute-heavy racy loop workloads, records
 each once, times the full replay stage (ordered replay construction plus
-access-index build) through both paths, asserts every observable is
-identical, and gates on the fast path being >=2x faster on the largest
-workload.
+access-index build) through both, asserts every observable is
+identical, and gates on the shipped replay being >=2x faster on the
+largest workload.
 
 Runs both under pytest (``pytest benchmarks/bench_replay_scaling.py``)
 and as a script::
@@ -28,9 +30,10 @@ the equivalence gate, not the timing gate.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
+import sys
 import time
+from pathlib import Path
 
 from conftest import (
     INTERP_QUICK_SIZES,
@@ -44,6 +47,9 @@ from repro.race.happens_before import find_races
 from repro.record import record_run
 from repro.replay.ordered_replay import OrderedReplay
 from repro.vm import RandomScheduler
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import GenericOrderedReplay  # noqa: E402
 
 #: Four threads in two independent racy pairs (same shape as the record
 #: benchmark): straight-line ALU work per iteration, and a per-iteration
@@ -88,7 +94,7 @@ MAX_STEPS = 2_000_000
 
 
 def _recorded(iters: int):
-    """One recording per size, shared by both timed paths."""
+    """One recording per size, shared by both timed replays."""
     program = assemble(
         SOURCE_TEMPLATE.format(iters=iters), name="repscale%d" % iters
     )
@@ -100,12 +106,10 @@ def _recorded(iters: int):
     )
     if log.captured is None:
         raise AssertionError("recording lost its captured columns")
-    stripped = dataclasses.replace(log)
-    stripped.captured = None
-    return program, log, stripped
+    return program, log
 
 
-def _time_replay_stage(log, program, fast_path: bool):
+def _time_replay_stage(log, program, replay_class):
     """Wall time of the full replay stage: ordered replay construction
     (walk included) plus the access-index build.  The garbage collector
     stays out of the timed window; a fresh OrderedReplay per run keeps
@@ -115,7 +119,7 @@ def _time_replay_stage(log, program, fast_path: bool):
     gc.disable()
     try:
         start = time.perf_counter()
-        ordered = OrderedReplay(log, program, fast_path=fast_path)
+        ordered = replay_class(log, program)
         ordered.access_index()
         elapsed = time.perf_counter() - start
     finally:
@@ -124,15 +128,15 @@ def _time_replay_stage(log, program, fast_path: bool):
     return elapsed, ordered
 
 
-def _measure_pair(log, stripped, program, repeats: int):
-    """Min-of-``repeats`` for both paths, interleaved so machine-load
+def _measure_pair(log, program, repeats: int):
+    """Min-of-``repeats`` for both replays, interleaved so machine-load
     drift lands on both sides rather than biasing one."""
     fast_s = slow_s = None
     fast = slow = None
     for _ in range(repeats):
-        elapsed, fast = _time_replay_stage(log, program, True)
+        elapsed, fast = _time_replay_stage(log, program, OrderedReplay)
         fast_s = elapsed if fast_s is None else min(fast_s, elapsed)
-        elapsed, slow = _time_replay_stage(stripped, program, False)
+        elapsed, slow = _time_replay_stage(log, program, GenericOrderedReplay)
         slow_s = elapsed if slow_s is None else min(slow_s, elapsed)
     return fast_s, fast, slow_s, slow
 
@@ -182,11 +186,11 @@ def _assert_equivalent(fast, slow, iters: int) -> None:
 
 
 def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
-    """Time generic vs fast replay per size; assert identical results."""
+    """Time oracle vs shipped replay per size; assert identical results."""
     rows = []
     for iters in sizes:
-        program, log, stripped = _recorded(iters)
-        fast_s, fast, slow_s, slow = _measure_pair(log, stripped, program, repeats)
+        program, log = _recorded(iters)
+        fast_s, fast, slow_s, slow = _measure_pair(log, program, repeats)
         _assert_equivalent(fast, slow, iters)
         rows.append(
             {
@@ -194,8 +198,8 @@ def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
                 "steps": log.total_instructions,
                 "regions": sum(len(regions) for regions in fast.regions.values()),
                 "accesses": fast.access_index().access_count,
-                "slow_s": round(slow_s, 4),
-                "fast_s": round(fast_s, 4),
+                "oracle_replay_s": round(slow_s, 4),
+                "replay_s": round(fast_s, 4),
                 "speedup": round(slow_s / fast_s, 2) if fast_s else 0.0,
                 "results_identical": True,
             }
@@ -210,12 +214,12 @@ def run_benchmark(sizes=SIZES, repeats: int = 5) -> dict:
     }
 
 
-def test_fast_path_beats_generic_reference(results_dir):
+def test_replay_beats_generic_oracle(results_dir):
     result = run_benchmark(sizes=SIZES, repeats=5)
     write_result(result, results_dir / "BENCH_replay.json")
     assert result["results_identical"]
     assert result["speedup"] >= 2.0, (
-        "fast-path replay must be >=2x over the generic reference "
+        "replay must be >=2x over the generic oracle replayer "
         "on the largest workload (got %.2fx)" % result["speedup"]
     )
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..replay.events import ReplayedAccess
 from ..replay.regions import SequencingRegion
@@ -68,23 +68,17 @@ class AccessIndex:
     )
 
     def __init__(self, ordered: "OrderedReplay"):
-        # Prefer the recorder's columnar capture when the log still carries
-        # it: region slicing becomes a bisect over the recorded step column,
-        # with no second walk over replay-materialized access objects.  The
-        # constructed records are value-identical to the replay-derived ones
-        # (the equivalence tests compare both paths), so every downstream
-        # analysis is oblivious to the source.
-        captured = getattr(ordered.log, "captured", None)
-        if not getattr(ordered, "_fast_path", True):
-            captured = None  # generic reference path: no columnar shortcuts
+        # Rows come from the recorder's columnar capture when the log
+        # still carries it, else from the replayed threads' access columns
+        # (:meth:`OrderedReplay.access_columns`): region slicing is a
+        # bisect over a step column either way, and every downstream
+        # analysis is oblivious to the source (the equivalence tests
+        # compare both).
         self._build(
             regions=[
                 region for region in ordered.all_regions() if not region.is_empty
             ],
-            columns_by_thread=(
-                captured.threads if captured is not None else None
-            ),
-            ordered=ordered,
+            columns_for=ordered.access_columns,
             perf=getattr(ordered, "_perf", None),
         )
 
@@ -112,8 +106,7 @@ class AccessIndex:
         index = cls.__new__(cls)
         index._build(
             regions=[region for region in regions if not region.is_empty],
-            columns_by_thread=columns_by_thread,
-            ordered=None,
+            columns_for=columns_by_thread.get,
             perf=perf,
         )
         return index
@@ -121,8 +114,7 @@ class AccessIndex:
     def _build(
         self,
         regions: List[SequencingRegion],
-        columns_by_thread: Optional[Dict[str, object]],
-        ordered: Optional["OrderedReplay"],
+        columns_for: Callable[[str], object],
         perf,
     ) -> None:
         #: Non-empty regions in opening-timestamp (sweep) order.
@@ -138,10 +130,9 @@ class AccessIndex:
         self.values = array("Q")
         self.write_flags = bytearray()
         self.region_of = array("Q")
-        #: Rich access records, parallel to the columns.  On the captured
-        #: path rows start as ``None`` and are materialized on demand
-        #: (most are never asked for: the sweep detector reads columns);
-        #: the replay path stores the already-built objects directly.
+        #: Rich access records, parallel to the columns.  Rows start as
+        #: ``None`` and are materialized on demand (most are never asked
+        #: for: the sweep detector reads columns).
         self._objects: List[Optional[ReplayedAccess]] = []
         self._static_id_col: List[object] = []
         self._slices: List[Tuple[int, int]] = []
@@ -153,22 +144,15 @@ class AccessIndex:
         self._perf = perf
         self._write_count: Optional[int] = None
         for ordinal, region in enumerate(self.regions):
-            columns = (
-                columns_by_thread.get(region.thread_name)
-                if columns_by_thread is not None
-                else None
-            )
-            start = len(self._objects)
-            seen: Dict[int, None] = {}
-            if columns is not None:
-                self._fill_region_from_columns(ordinal, region, columns, seen)
-            elif ordered is not None:
-                self._fill_region_from_replay(ordinal, region, ordered, seen)
-            else:
+            columns = columns_for(region.thread_name)
+            if columns is None:
                 raise ValueError(
                     "no captured columns for thread %r and no replay to "
                     "fall back to" % region.thread_name
                 )
+            start = len(self._objects)
+            seen: Dict[int, None] = {}
+            self._fill_region_from_columns(ordinal, region, columns, seen)
             self._slices.append((start, len(self._objects)))
             self._address_tuples.append(tuple(seen))
         self._by_address = [None] * len(self.regions)
@@ -180,56 +164,36 @@ class AccessIndex:
         columns,
         seen: Dict[int, None],
     ) -> None:
-        """Append one region's rows from step-sorted captured columns.
+        """Append one region's rows from step-sorted access columns.
 
         Shared by both construction paths: the replay constructor hands
-        recorder columns here, :meth:`from_captured` hands the sectioned
-        reader's views — identical parallel-sequence shape either way.
+        recorder columns or a replay's
+        :class:`~repro.replay.events.LazyAccessList` here,
+        :meth:`from_captured` hands the sectioned reader's views —
+        identical parallel-sequence shape either way.
         """
         column_steps = columns.steps
         column_flags = columns.flags
+        column_addresses = columns.addresses
+        column_values = columns.values
+        column_static_ids = columns.static_ids
         lo = bisect_left(column_steps, region.start_step)
         hi = bisect_left(column_steps, region.end_step, lo)
         for position in range(lo, hi):
             flag = column_flags[position]
             if flag & 2:  # synchronization access
                 continue
-            address = columns.addresses[position]
+            address = column_addresses[position]
             self._objects.append(None)
-            self._static_id_col.append(columns.static_ids[position])
+            self._static_id_col.append(column_static_ids[position])
             self.steps.append(column_steps[position])
             self.addresses.append(address)
-            self.values.append(columns.values[position])
+            self.values.append(column_values[position])
             self.write_flags.append(flag & 1)
             self.region_of.append(ordinal)
             if address not in seen:
                 seen[address] = None
                 self.postings.setdefault(address, []).append(ordinal)
-
-    def _fill_region_from_replay(
-        self,
-        ordinal: int,
-        region: SequencingRegion,
-        ordered: "OrderedReplay",
-        seen: Dict[int, None],
-    ) -> None:
-        """Append one region's rows from a materialized thread replay."""
-        replay = ordered.thread_replays[region.thread_name]
-        for access in replay.accesses_in_steps(
-            region.start_step, region.end_step
-        ):
-            if access.is_sync:
-                continue
-            self._objects.append(access)
-            self._static_id_col.append(access.static_id)
-            self.steps.append(access.thread_step)
-            self.addresses.append(access.address)
-            self.values.append(access.value)
-            self.write_flags.append(1 if access.is_write else 0)
-            self.region_of.append(ordinal)
-            if access.address not in seen:
-                seen[access.address] = None
-                self.postings.setdefault(access.address, []).append(ordinal)
 
     # ------------------------------------------------------------------
     # Sizes.
@@ -270,8 +234,7 @@ class AccessIndex:
         return self._slices[ordinal]
 
     def _materialize_range(self, start: int, end: int) -> List[ReplayedAccess]:
-        """Object rows ``[start, end)``, building captured-path rows on
-        first use."""
+        """Object rows ``[start, end)``, building each row on first use."""
         objects = self._objects
         out = objects[start:end]
         if None in out:
@@ -302,7 +265,7 @@ class AccessIndex:
 
     def region_accesses(self, region: SequencingRegion) -> List[ReplayedAccess]:
         """Plain accesses inside ``region`` — a slice of the object column
-        (captured-path rows materialize on first query)."""
+        (rows materialize on first query)."""
         ordinal = self._ordinals.get((region.tid, region.index))
         if ordinal is None:
             return []

@@ -53,19 +53,25 @@ from .replay.ordered_replay import OrderedReplay
 from .vm.scheduler import RandomScheduler, RoundRobinScheduler
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1, rejected loudly."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer >= 1, got %r" % text
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "expected an integer >= 1, got %r" % text
-        )
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``, rejected loudly."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (minimum, text)
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,11 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the record-stage breakdown (steps, events, elisions)",
     )
     record.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="record through the generic reference interpreter",
-    )
-    record.add_argument(
         "--segment-bytes",
         type=int,
         default=None,
@@ -116,12 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--perf",
         action="store_true",
-        help="print the replay-stage breakdown (fast/generic threads, laziness)",
-    )
-    replay.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="replay through the generic reference interpreter",
+        help="print the replay-stage breakdown (threads replayed, captured "
+        "handoffs, lazy materialization)",
     )
 
     detect = sub.add_parser("detect", help="happens-before race detection")
@@ -251,8 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inspect.add_argument("log", type=Path, help="replay log file")
     inspect.add_argument("--thread", required=True, help="thread name")
-    inspect.add_argument("--step", type=int, default=0, help="first step to show")
-    inspect.add_argument("--count", type=int, default=10, help="steps to show")
+    inspect.add_argument(
+        "--step", type=_non_negative_int, default=0, help="first step to show"
+    )
+    inspect.add_argument(
+        "--count", type=_positive_int, default=10, help="steps to show"
+    )
 
     mark = sub.add_parser(
         "mark-benign", help="record a developer's benign verdict for a race"
@@ -538,7 +539,6 @@ def _cmd_record(args, out) -> int:
                 destination,
                 scheduler=_make_scheduler(args),
                 seed=args.seed,
-                fast_path=not args.no_fast_path,
                 segment_bytes=args.segment_bytes,
             )
     else:
@@ -547,7 +547,6 @@ def _cmd_record(args, out) -> int:
                 program,
                 scheduler=_make_scheduler(args),
                 seed=args.seed,
-                fast_path=not args.no_fast_path,
             )
         save_log(log, destination)
     stats = compression_stats(log)
@@ -578,9 +577,7 @@ def _cmd_replay(args, out) -> int:
     log = load_log(args.log)
     perf = PerfStats()
     with perf.stage("replay"):
-        ordered = OrderedReplay(
-            log, fast_path=not args.no_fast_path, perf=perf
-        )
+        ordered = OrderedReplay(log, perf=perf)
         replayed = {
             name: ordered.thread_replays[name] for name in log.threads
         }
@@ -833,7 +830,12 @@ def _cmd_inspect(args, out) -> int:
         )
         return 1
     inspector = TimeTravelInspector(ordered)
-    for view in inspector.walk(args.thread, start=args.step, count=args.count):
+    try:
+        views = inspector.walk(args.thread, start=args.step, count=args.count)
+    except IndexError as error:
+        print(error, file=out)
+        return 1
+    for view in views:
         print(view.describe(), file=out)
     return 0
 

@@ -12,7 +12,7 @@ from .regions import (
     regions_of_log,
     regions_of_thread,
 )
-from .thread_replayer import ThreadReplayer, replay_thread
+from .thread_replayer import ThreadReplayer
 from .virtual_processor import (
     VPConfig,
     VPOutcome,
@@ -41,7 +41,6 @@ __all__ = [
     "regions_of_log",
     "regions_of_thread",
     "ThreadReplayer",
-    "replay_thread",
     "VPConfig",
     "VPOutcome",
     "VPThreadSpec",

@@ -1,14 +1,14 @@
 """Event model produced by replaying one thread from its log.
 
-The fast replay path (:meth:`ThreadReplayer.run_fast`) produces the same
-:class:`ThreadReplay` shape but backed by lazy views: accesses live in
-columnar parallel arrays and become :class:`ReplayedAccess` objects only
-when indexed (:class:`LazyAccessList`), per-step static ids are a view
-over the block's table (:class:`StaticIdView`), and register snapshots
-are reconstructed on first lookup from sparse checkpoints
+:meth:`ThreadReplayer.run_fast` backs a :class:`ThreadReplay` with lazy
+views: accesses live in columnar parallel arrays and become
+:class:`ReplayedAccess` objects only when indexed
+(:class:`LazyAccessList`), per-step static ids are a view over the
+block's table (:class:`StaticIdView`), and register snapshots are
+reconstructed on first lookup from sparse checkpoints
 (:class:`LazyRegisterDict`).  :meth:`ThreadReplay.materialized` converts
-either representation to the plain eager one, which the equivalence
-tests compare byte for byte.
+it to the plain eager form, which the equivalence tests compare byte for
+byte.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ class ReplayedAccess:
 class StaticIdView:
     """Per-step static ids as a view: ``block.static_ids()[pcs[step]]``.
 
-    The generic replayer builds one list entry per retired instruction;
-    the fast path already has the pc trace, so the table lookup is done
-    on demand instead.  Supports indexing (int and slice), iteration,
-    ``len`` and equality against any sequence.
+    The replayer already has the pc trace, so the table lookup is done
+    on demand instead of storing one entry per retired instruction.
+    Supports indexing (int and slice), iteration, ``len`` and equality
+    against any sequence.
     """
 
     __slots__ = ("_table", "_pcs")
@@ -77,19 +77,36 @@ class StaticIdView:
         return "StaticIdView(%d steps)" % len(self._pcs)
 
 
+class _RowStaticIds:
+    """Per-*row* static ids of a :class:`LazyAccessList`: the per-step id
+    at each row's step."""
+
+    __slots__ = ("_per_step", "_steps")
+
+    def __init__(self, per_step, steps: List[int]):
+        self._per_step = per_step
+        self._steps = steps
+
+    def __getitem__(self, row: int) -> StaticInstructionId:
+        return self._per_step[self._steps[row]]
+
+
 class LazyAccessList:
     """Columnar access rows materialized into :class:`ReplayedAccess`
     objects only when indexed.
 
-    Parallel arrays match :class:`~repro.record.log.ThreadAccessColumns`:
-    ``flags`` packs bit 0 = write, bit 1 = sync.  ``static_ids`` is any
-    per-*step* sequence (e.g. a :class:`StaticIdView`): every row of one
-    step comes from the same instruction.  Materialized objects are
-    cached so repeated indexing returns identical (and ``is``-identical)
-    instances.
+    The parallel ``steps``/``addresses``/``values``/``flags`` columns and
+    the per-row ``static_ids`` give it the shape of
+    :class:`~repro.record.log.ThreadAccessColumns`, so the ordered walk
+    and the access index read replayed rows exactly like captured ones.
+    ``flags`` packs bit 0 = write, bit 1 = sync.  The constructor's
+    ``static_ids`` is any per-*step* sequence (e.g. a
+    :class:`StaticIdView`): every row of one step comes from the same
+    instruction.  Materialized objects are cached so repeated indexing
+    returns identical (and ``is``-identical) instances.
     """
 
-    __slots__ = ("_steps", "_addresses", "_values", "_flags", "_static_ids", "_cache", "_perf")
+    __slots__ = ("steps", "addresses", "values", "flags", "_static_ids", "_cache", "_perf")
 
     def __init__(
         self,
@@ -100,27 +117,31 @@ class LazyAccessList:
         static_ids,
         perf=None,
     ):
-        self._steps = steps
-        self._addresses = addresses
-        self._values = values
-        self._flags = flags
+        self.steps = steps
+        self.addresses = addresses
+        self.values = values
+        self.flags = flags
         self._static_ids = static_ids
         self._cache: List[Optional[ReplayedAccess]] = [None] * len(steps)
         self._perf = perf
 
+    @property
+    def static_ids(self) -> _RowStaticIds:
+        return _RowStaticIds(self._static_ids, self.steps)
+
     def __len__(self) -> int:
-        return len(self._steps)
+        return len(self.steps)
 
     def _materialize(self, index: int) -> ReplayedAccess:
         access = self._cache[index]
         if access is None:
-            step = self._steps[index]
-            flag = self._flags[index]
+            step = self.steps[index]
+            flag = self.flags[index]
             access = ReplayedAccess(
                 thread_step=step,
                 static_id=self._static_ids[step],
-                address=self._addresses[index],
-                value=self._values[index],
+                address=self.addresses[index],
+                value=self.values[index],
                 is_write=bool(flag & 1),
                 is_sync=bool(flag & 2),
             )
@@ -131,13 +152,13 @@ class LazyAccessList:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self._materialize(i) for i in range(*index.indices(len(self._steps)))]
+            return [self._materialize(i) for i in range(*index.indices(len(self.steps)))]
         if index < 0:
-            index += len(self._steps)
+            index += len(self.steps)
         return self._materialize(index)
 
     def __iter__(self) -> Iterator[ReplayedAccess]:
-        for index in range(len(self._steps)):
+        for index in range(len(self.steps)):
             yield self._materialize(index)
 
     def __eq__(self, other) -> bool:
@@ -149,7 +170,7 @@ class LazyAccessList:
             return NotImplemented
 
     def __repr__(self) -> str:
-        return "LazyAccessList(%d rows)" % len(self._steps)
+        return "LazyAccessList(%d rows)" % len(self.steps)
 
 
 class LazyRegisterDict(dict):
@@ -161,9 +182,9 @@ class LazyRegisterDict(dict):
     :class:`~repro.replay.thread_replayer.RegisterReconstructor`) and
     cached.  Validity is either an explicit ``valid_steps`` set (region
     boundaries) or — when ``valid_steps`` is ``None`` — "the step's
-    instruction touches memory", matching which steps the generic
-    replayer snapshots.  Invalid keys raise :class:`KeyError` exactly
-    like a plain dict, so callers' divergence handling is unchanged.
+    instruction touches memory".  Invalid keys raise :class:`KeyError`
+    exactly like a plain dict, so callers' divergence handling is
+    unchanged.
     """
 
     def __init__(self, reconstructor, valid_steps: Optional[frozenset] = None):
@@ -258,6 +279,12 @@ class ThreadReplay:
     _heap_by_step: Optional[Dict[int, List[HeapEvent]]] = field(
         default=None, repr=False, compare=False
     )
+    #: The register-effect re-executor behind the lazy snapshot dicts
+    #: (a :class:`~repro.replay.thread_replayer.RegisterReconstructor`):
+    #: its ``state_before(step)`` answers any step, boundary or not.
+    reconstructor: Optional[object] = field(
+        default=None, repr=False, compare=False
+    )
 
     def accesses_in_steps(self, start_step: int, end_step: int) -> List[ReplayedAccess]:
         """All accesses with ``start_step <= thread_step < end_step``."""
@@ -297,9 +324,8 @@ class ThreadReplay:
     def materialized(self) -> "ThreadReplay":
         """A fully-eager copy: lazy views become plain lists and dicts.
 
-        Fast-path and generic replays of the same thread materialize to
-        equal objects; the equivalence tests rely on this to compare the
-        two paths byte for byte.  A generic replay materializes to a copy
+        The equivalence tests compare this against the oracle's eager
+        replay byte for byte; an eager replay materializes to a copy
         equal to itself.
         """
 

@@ -11,24 +11,22 @@ answers state queries at arbitrary points of a recorded execution —
 * a thread's program counter / source line at any step,
 * a best-effort global memory view at a global-order point,
 
-without re-recording anything.  Queries re-execute the per-thread replay
-up to the requested step (threads are small; the replays themselves are
-already materialised by :class:`OrderedReplay`), with snapshot reuse at
-sequencing-region boundaries.
+without re-recording anything.  Register queries re-execute register
+effects only, from the replay's nearest checkpoint
+(:meth:`~repro.replay.thread_replayer.RegisterReconstructor.state_before`),
+and every answer becomes a new checkpoint, so stepping through a window
+costs one instruction per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.operands import Imm
 from ..isa.program import Program, StaticInstructionId
 from ..record.log import ReplayLog
-from ..vm import alu
-from ..vm.registers import RegisterFile
 from .errors import ReplayDivergence
+from .events import ThreadReplay
 from .ordered_replay import OrderedReplay
 
 
@@ -74,80 +72,42 @@ class TimeTravelInspector:
         self.ordered = ordered
         self.program: Program = ordered.program
         self.log: ReplayLog = ordered.log
-        # registers-before-step cache, per thread, filled lazily.
-        self._register_cache: Dict[str, List[Tuple[int, ...]]] = {}
+        #: Threads whose reconstructed end state was checked against the
+        #: replay's final registers.
+        self._verified: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Register time travel.
     # ------------------------------------------------------------------
 
-    def _registers_timeline(self, thread_name: str) -> List[Tuple[int, ...]]:
-        """Registers *before* each step (index i = before step i),
-        plus one final entry for the end state."""
-        if thread_name in self._register_cache:
-            return self._register_cache[thread_name]
+    def _replay(
+        self, thread_name: str, thread_step: int, end_state: bool = False
+    ) -> ThreadReplay:
+        """The thread's replay, after checking that ``thread_step`` names a
+        retired step (or, with ``end_state``, the state after the last)."""
         replay = self.ordered.thread_replays[thread_name]
-        thread_log = self.log.threads[thread_name]
-        block = self.program.blocks[thread_log.block]
-        registers = RegisterFile(thread_log.initial_registers)
-        timeline: List[Tuple[int, ...]] = []
-        loads_by_step = {
-            access.thread_step: access.value
-            for access in replay.accesses
-            if not access.is_write
-        }
-        for step, pc in enumerate(replay.pcs):
-            timeline.append(registers.snapshot())
-            instruction = block.instruction_at(pc)
-            self._apply_register_effects(
-                instruction, registers, loads_by_step.get(step), thread_log, step
+        last = replay.steps if end_state else replay.steps - 1
+        if not 0 <= thread_step <= last:
+            raise IndexError(
+                "step %d out of range for thread %s (0..%d)"
+                % (thread_step, thread_name, last)
             )
-        timeline.append(registers.snapshot())
-        if timeline[-1] != replay.final_registers:
-            raise ReplayDivergence(
-                "inspector register reconstruction diverged for %s" % thread_name
-            )
-        self._register_cache[thread_name] = timeline
-        return timeline
+        return replay
 
-    def _apply_register_effects(
-        self,
-        instruction: Instruction,
-        registers: RegisterFile,
-        load_value: Optional[int],
-        thread_log,
-        step: int,
-    ) -> None:
-        opcode = instruction.opcode
-        operands = instruction.operands
-        if opcode == "li":
-            registers.write(operands[0].index, operands[1].value)
-        elif opcode == "mov":
-            registers.write(operands[0].index, registers.read(operands[1].index))
-        elif alu.is_binary_op(opcode):
-            rhs = (
-                operands[2].value
-                if isinstance(operands[2], Imm)
-                else registers.read(operands[2].index)
-            )
-            registers.write(
-                operands[0].index,
-                alu.binary_op(opcode, registers.read(operands[1].index), rhs),
-            )
-        elif opcode == "load":
-            registers.write(operands[0].index, load_value or 0)
-        elif opcode in ("atom_add", "atom_xchg", "cas"):
-            registers.write(operands[0].index, load_value or 0)
-        elif instruction.spec.is_syscall:
-            record = thread_log.syscall_at(step)
-            if record is not None and opcode in (
-                "sys_getpid",
-                "sys_time",
-                "sys_rand",
-                "sys_alloc",
-            ):
-                registers.write(operands[0].index, record.result)
-        # branches/stores/nop/halt/fence/lock/unlock: no register effects.
+    def _registers_before(
+        self, replay: ThreadReplay, thread_step: int
+    ) -> Tuple[int, ...]:
+        """Registers just before ``thread_step`` (``replay.steps`` = end
+        state), re-executed from the nearest checkpoint."""
+        reconstructor = replay.reconstructor
+        if replay.name not in self._verified:
+            if reconstructor.state_before(replay.steps) != replay.final_registers:
+                raise ReplayDivergence(
+                    "inspector register reconstruction diverged for %s"
+                    % replay.name
+                )
+            self._verified.add(replay.name)
+        return reconstructor.state_before(thread_step)
 
     # ------------------------------------------------------------------
     # Public queries.
@@ -155,45 +115,36 @@ class TimeTravelInspector:
 
     def registers_at(self, thread_name: str, thread_step: int) -> Tuple[int, ...]:
         """Register file of ``thread_name`` just *before* ``thread_step``."""
-        timeline = self._registers_timeline(thread_name)
-        if not 0 <= thread_step < len(timeline):
-            raise IndexError(
-                "step %d out of range for %s (0..%d)"
-                % (thread_step, thread_name, len(timeline) - 1)
-            )
-        return timeline[thread_step]
+        replay = self._replay(thread_name, thread_step, end_state=True)
+        return self._registers_before(replay, thread_step)
 
     def register_at(self, thread_name: str, thread_step: int, register: int) -> int:
         return self.registers_at(thread_name, thread_step)[register]
 
     def pc_at(self, thread_name: str, thread_step: int) -> int:
-        replay = self.ordered.thread_replays[thread_name]
-        return replay.pcs[thread_step]
+        return self._replay(thread_name, thread_step).pcs[thread_step]
 
     def step_view(self, thread_name: str, thread_step: int) -> StepView:
         """A full picture of one retired step (the debugger's focus line)."""
-        replay = self.ordered.thread_replays[thread_name]
-        timeline = self._registers_timeline(thread_name)
-        pc = replay.pcs[thread_step]
+        replay = self._replay(thread_name, thread_step)
         static_id = replay.static_ids[thread_step]
         instruction = self.program.instruction(static_id)
         access = None
-        for entry in replay.accesses:
-            if entry.thread_step == thread_step:
-                access = (
-                    "store" if entry.is_write else "load",
-                    entry.address,
-                    entry.value,
-                )
-                break
+        entry = replay.access_at(thread_step)
+        if entry is not None:
+            access = (
+                "store" if entry.is_write else "load",
+                entry.address,
+                entry.value,
+            )
         return StepView(
             thread_name=thread_name,
             thread_step=thread_step,
-            pc=pc,
+            pc=replay.pcs[thread_step],
             static_id=static_id,
             instruction_text=instruction.source_text or str(instruction),
-            registers_before=timeline[thread_step],
-            registers_after=timeline[thread_step + 1],
+            registers_before=self._registers_before(replay, thread_step),
+            registers_after=self._registers_before(replay, thread_step + 1),
             access=access,
         )
 
@@ -241,7 +192,12 @@ class TimeTravelInspector:
         return None
 
     def walk(self, thread_name: str, start: int = 0, count: int = 10) -> List[StepView]:
-        """A window of consecutive step views — 'stepping' through history."""
-        replay = self.ordered.thread_replays[thread_name]
+        """A window of consecutive step views — 'stepping' through history.
+
+        The window is clamped to the thread's end; a non-empty window
+        whose ``start`` is not a retired step raises :class:`IndexError`."""
+        if count <= 0:
+            return []
+        replay = self._replay(thread_name, start)
         end = min(start + count, replay.steps)
         return [self.step_view(thread_name, step) for step in range(start, end)]

@@ -82,23 +82,17 @@ class _LazyThreadReplays(Mapping):
 class _ColumnarWalkSource:
     """Feeds the ordered walk from columnar access rows — either the
     recorder's :class:`~repro.record.log.ThreadAccessColumns` (captured
-    handoff: no instruction is re-interpreted) or a fast replay's access
-    columns.  ``steps`` is non-decreasing, so row ranges are bisects."""
+    handoff: no instruction is re-interpreted) or a replay's
+    :class:`~repro.replay.events.LazyAccessList`.  ``steps`` is
+    non-decreasing, so row ranges are bisects."""
 
     __slots__ = ("_steps", "_addresses", "_values", "_flags", "_heap_by_step")
 
-    def __init__(
-        self,
-        steps: List[int],
-        addresses: List[int],
-        values: List[int],
-        flags: List[int],
-        heap_events: Iterable[Tuple[int, str, int, int]],
-    ):
-        self._steps = steps
-        self._addresses = addresses
-        self._values = values
-        self._flags = flags
+    def __init__(self, columns, heap_events: Iterable[Tuple[int, str, int, int]]):
+        self._steps = columns.steps
+        self._addresses = columns.addresses
+        self._values = columns.values
+        self._flags = columns.flags
         heap_by_step: Dict[int, List[Tuple[str, int, int]]] = {}
         for step, kind, base, size in heap_events:
             heap_by_step.setdefault(step, []).append((kind, base, size))
@@ -120,35 +114,6 @@ class _ColumnarWalkSource:
 
     def heap_events_at(self, step: int):
         return self._heap_by_step.get(step, ())
-
-
-class _ReplayWalkSource:
-    """Feeds the ordered walk from a materialized thread replay (the
-    generic path, and the fallback when no columns are available)."""
-
-    __slots__ = ("_replay",)
-
-    def __init__(self, replay: ThreadReplay):
-        self._replay = replay
-
-    def writes_in_steps(self, start_step: int, end_step: int):
-        return [
-            (access.address, access.value)
-            for access in self._replay.accesses_in_steps(start_step, end_step)
-            if access.is_write
-        ]
-
-    def writes_at(self, step: int):
-        return [
-            (access.address, access.value)
-            for access in self._replay.writes_at_step(step)
-        ]
-
-    def heap_events_at(self, step: int):
-        return [
-            (event.kind, event.base, event.size)
-            for event in self._replay.heap_events_at_step(step)
-        ]
 
 
 class VersionedImage:
@@ -275,12 +240,10 @@ class OrderedReplay:
         log: ReplayLog,
         program: Optional[Program] = None,
         *,
-        fast_path: bool = True,
         perf=None,
     ):
         self.log = log
         self.program = program if program is not None else log.reassemble_program()
-        self._fast_path = fast_path
         self._perf = perf
         #: Lazy mapping: each thread is replayed on first access (the walk
         #: and index usually run off ``log.captured`` columns instead).
@@ -324,19 +287,23 @@ class OrderedReplay:
     # ------------------------------------------------------------------
 
     def _replay_thread(self, name: str) -> ThreadReplay:
-        """Replay one thread (fast or generic path), with perf accounting."""
-        replayer = ThreadReplayer(self.program, self.log, name)
-        if self._fast_path:
-            return replayer.run_fast(self._perf)
-        replay = replayer.run()
-        if self._perf is not None:
-            self._perf.replay_threads_generic += 1
-            self._perf.replay_snapshots_eager += (
-                len(replay.region_start_registers)
-                + len(replay.region_end_registers)
-                + len(replay.registers_at_step)
-            )
-        return replay
+        """Replay one thread, with perf accounting."""
+        return ThreadReplayer(self.program, self.log, name).run_fast(self._perf)
+
+    def access_columns(self, name: str):
+        """One thread's access rows in columnar form.
+
+        The recorder's captured columns when the log still carries them
+        (no instruction is re-interpreted), the replayed thread's
+        :class:`LazyAccessList` otherwise; both expose
+        ``steps``/``addresses``/``values``/``flags``/``static_ids``.
+        """
+        captured = self.log.captured
+        if captured is not None:
+            columns = captured.threads.get(name)
+            if columns is not None:
+                return columns
+        return self.thread_replays[name].accesses
 
     # ------------------------------------------------------------------
     # The region-ordered walk.
@@ -365,49 +332,21 @@ class OrderedReplay:
         return self._sequencer_entries
 
     def _walk_source(self, name: str):
-        """The cheapest equivalent row source for one thread's walk events.
-
-        Captured recorder columns when present (no re-interpretation at
-        all), a fast replay's access columns otherwise, and the
-        materialized replay object as the final (generic-path) fallback.
-        Returns ``(source, served_from_capture)``.
-        """
-        captured = self.log.captured
-        if self._fast_path and captured is not None:
-            columns = captured.threads.get(name)
-            if columns is not None:
-                return (
-                    _ColumnarWalkSource(
-                        columns.steps,
-                        columns.addresses,
-                        columns.values,
-                        columns.flags,
-                        zip(
-                            columns.heap_steps,
-                            columns.heap_kinds,
-                            columns.heap_bases,
-                            columns.heap_sizes,
-                        ),
-                    ),
-                    True,
-                )
-        replay = self.thread_replays[name]
-        accesses = replay.accesses
-        if isinstance(accesses, LazyAccessList):
-            return (
-                _ColumnarWalkSource(
-                    accesses._steps,
-                    accesses._addresses,
-                    accesses._values,
-                    accesses._flags,
-                    (
-                        (event.thread_step, event.kind, event.base, event.size)
-                        for event in replay.heap_events
-                    ),
-                ),
-                False,
+        """One thread's walk events; returns ``(source, served_from_capture)``."""
+        columns = self.access_columns(name)
+        if isinstance(columns, LazyAccessList):
+            heap_events = (
+                (event.thread_step, event.kind, event.base, event.size)
+                for event in self.thread_replays[name].heap_events
             )
-        return _ReplayWalkSource(replay), False
+            return _ColumnarWalkSource(columns, heap_events), False
+        heap_events = zip(
+            columns.heap_steps,
+            columns.heap_kinds,
+            columns.heap_bases,
+            columns.heap_sizes,
+        )
+        return _ColumnarWalkSource(columns, heap_events), True
 
     def _walk(self) -> None:
         image: Dict[int, int] = dict(self.program.initial_memory())

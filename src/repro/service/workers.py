@@ -106,7 +106,6 @@ def _worker_init(config_dict: dict) -> None:
             max_steps=config.max_steps,
             capture_global_order=config.capture_global_order,
             cache_dir=config.cache_dir,
-            replay_fast_path=config.replay_fast_path,
             incremental=config.incremental,
         )
     )

@@ -1,11 +1,12 @@
-"""The record-stage fast path and suite cache must not change anything.
+"""The record stage and suite cache must not change anything.
 
 The predecoded interpreter, the columnar recorder, and the
 content-addressed record cache are pure performance work: a recording
 made through any combination of them must be *identical* — same
 ``ReplayLog``, same machine result, same race instances, same verdicts —
-to one made by the retained generic reference interpreter.  These tests
-enforce that over the full paper suite.
+to one made by the generic operand-object machine in
+``tests/oracles/generic_interpreters.py``.  These tests enforce that over
+the full paper suite.
 """
 
 import pytest
@@ -17,16 +18,17 @@ from repro.record import record_run
 from repro.vm import RandomScheduler
 from repro.workloads.suite import clean_suite, paper_suite
 
+from oracles import generic_record_run
 
-def _record(execution, fast_path):
-    return record_run(
+
+def _record(execution, recorder=record_run):
+    return recorder(
         execution.workload.program(),
         scheduler=RandomScheduler(
             seed=execution.seed, switch_probability=execution.switch_probability
         ),
         seed=execution.seed,
         max_steps=200_000,
-        fast_path=fast_path,
     )
 
 
@@ -54,11 +56,12 @@ def aggregates(suite):
 
 
 def test_fast_path_recordings_byte_identical():
-    """Fast vs generic interpreter: same log, same machine result, on
-    every execution of the paper suite plus the clean controls."""
+    """Predecoded machine vs the generic oracle: same log, same machine
+    result, on every execution of the paper suite plus the clean
+    controls."""
     for execution in list(paper_suite()) + list(clean_suite()):
-        fast_result, fast_log = _record(execution, fast_path=True)
-        slow_result, slow_log = _record(execution, fast_path=False)
+        fast_result, fast_log = _record(execution)
+        slow_result, slow_log = _record(execution, generic_record_run)
         assert fast_log == slow_log, execution.execution_id
         assert fast_result.output == slow_result.output
         assert fast_result.memory == slow_result.memory
@@ -68,14 +71,14 @@ def test_fast_path_recordings_byte_identical():
 
 
 def test_verdicts_identical_on_generic_recordings(tmp_path):
-    """Verdicts from the default path (fast interpreter + columnar access
-    index) equal verdicts computed over generic-reference recordings
-    served through the cache (which strips the captured columns, forcing
-    the replay-derived access index)."""
+    """Verdicts from the default path (predecoded machine + captured
+    columns) equal verdicts computed over generic-oracle recordings
+    served through the cache (which strips the captured columns, feeding
+    the access index from the replayed threads)."""
     subset = paper_suite()[:8]
     cache = SuiteCache(tmp_path / "slow-recordings")
     for execution in subset:
-        slow_result, slow_log = _record(execution, fast_path=False)
+        slow_result, slow_log = _record(execution, generic_record_run)
         cache.store(execution_cache_key(execution, 200_000, True), slow_result, slow_log)
 
     for execution in subset:
@@ -158,7 +161,7 @@ def test_corrupt_cache_entry_degrades_to_miss(tmp_path):
     execution = paper_suite()[0]
     cache = SuiteCache(tmp_path)
     key = execution_cache_key(execution, 200_000, True)
-    result, log = _record(execution, fast_path=True)
+    result, log = _record(execution)
     cache.store(key, result, log)
 
     for path in tmp_path.iterdir():

@@ -1,24 +1,28 @@
-"""The replay-stage fast path must not change anything.
+"""The replay stage must not change anything.
 
 The predecoded thread replayer, the captured-columns handoff, and the
 lazy region materialization are pure performance work: every observable
 the analyses read from an :class:`OrderedReplay` — materialized thread
 replays, region snapshots, program output, final memory, race instances
-and verdicts — must be *identical* whether the replay ran through the
-fast path (with or without captured columns) or the retained generic
-reference interpreter.  These tests enforce that over the full paper
-suite plus the clean controls.
+and verdicts — must be *identical* whether the replay was fed from
+captured columns or from the replayed threads, and identical to the
+eager generic replayer in ``tests/oracles/generic_interpreters.py``.
+These tests enforce that over the full paper suite plus the clean
+controls.
 """
 
 import dataclasses
 
 from repro.analysis.perf import PerfStats
 from repro.analysis.pipeline import analyze_execution
-from repro.race.happens_before import find_races
+from repro.race.classifier import RaceClassifier
+from repro.race.happens_before import HappensBeforeDetector, find_races
 from repro.record import record_run
 from repro.replay.ordered_replay import OrderedReplay
 from repro.vm import RandomScheduler
 from repro.workloads.suite import clean_suite, paper_suite
+
+from oracles import GenericOrderedReplay
 
 
 def _record(execution):
@@ -34,7 +38,7 @@ def _record(execution):
 
 def _stripped(log):
     """The same log without its captured columns (the deserialized-JSON /
-    suite-cache shape), forcing the replay-derived fallback."""
+    suite-cache shape), so the walk and index read the replayed threads."""
     clone = dataclasses.replace(log)
     clone.captured = None
     return clone
@@ -77,13 +81,13 @@ def _region_observables(ordered):
 
 class TestFastVsGenericReplay:
     def test_thread_replays_byte_identical(self):
-        """Fast vs generic replay of every thread of every suite
+        """Shipped vs oracle replay of every thread of every suite
         execution: the materialized replays are equal, snapshots and all."""
         for execution in list(paper_suite()) + list(clean_suite()):
             _, log = _record(execution)
             program = execution.workload.program()
-            fast = OrderedReplay(log, program, fast_path=True)
-            generic = OrderedReplay(_stripped(log), program, fast_path=False)
+            fast = OrderedReplay(log, program)
+            generic = GenericOrderedReplay(log, program)
             for name in log.threads:
                 fast_replay = fast.thread_replays[name].materialized()
                 generic_replay = generic.thread_replays[name].materialized()
@@ -94,25 +98,39 @@ class TestFastVsGenericReplay:
 
     def test_ordered_observables_identical(self):
         """Output, final memory, region snapshots and race sets agree
-        between the fast and generic paths on every suite execution."""
+        between the shipped replay (with and without captured columns)
+        and the oracle on every suite execution."""
         for execution in list(paper_suite()) + list(clean_suite()):
             _, log = _record(execution)
             program = execution.workload.program()
-            fast = OrderedReplay(log, program, fast_path=True)
-            generic = OrderedReplay(_stripped(log), program, fast_path=False)
-            assert fast.output() == generic.output(), execution.execution_id
-            assert fast.final_memory() == generic.final_memory()
-            assert _region_observables(fast) == _region_observables(generic)
-            assert _race_keys(fast) == _race_keys(generic), execution.execution_id
+            generic = GenericOrderedReplay(log, program)
+            for fast in (
+                OrderedReplay(log, program),
+                OrderedReplay(_stripped(log), program),
+            ):
+                assert fast.output() == generic.output(), execution.execution_id
+                assert fast.final_memory() == generic.final_memory()
+                assert _region_observables(fast) == _region_observables(generic)
+                assert _race_keys(fast) == _race_keys(generic), (
+                    execution.execution_id
+                )
 
     def test_verdicts_identical(self):
-        """End-to-end analysis with the fast path off reproduces every
-        instance and every verdict of the default path."""
+        """Detection and classification over the oracle's replay
+        reproduce every instance and every verdict of the default path."""
         for execution in paper_suite()[:8]:
             default = analyze_execution(execution)
-            generic = analyze_execution(execution, replay_fast_path=False)
+            generic = GenericOrderedReplay(
+                default.log, execution.workload.program()
+            )
+            instances = HappensBeforeDetector(
+                generic, max_pairs_per_location=256
+            ).detect()
+            classified = RaceClassifier(
+                generic, execution_id=execution.execution_id
+            ).classify_all(instances)
 
-            def instance_keys(analysis):
+            def instance_keys(instances):
                 return [
                     (
                         i.static_key,
@@ -122,13 +140,13 @@ class TestFastVsGenericReplay:
                         i.access_b.tid,
                         i.access_b.thread_step,
                     )
-                    for i in analysis.instances
+                    for i in instances
                 ]
 
-            assert instance_keys(generic) == instance_keys(default)
+            assert instance_keys(instances) == instance_keys(default.instances)
             assert [
                 (e.outcome, e.original_first, e.pre_value, e.failure_kind)
-                for e in generic.classified
+                for e in classified
             ] == [
                 (e.outcome, e.original_first, e.pre_value, e.failure_kind)
                 for e in default.classified
@@ -137,19 +155,17 @@ class TestFastVsGenericReplay:
 
 class TestCapturedHandoff:
     def test_captured_matches_replay_derived_fallback(self):
-        """Fast replay fed by captured columns equals fast replay forced
-        through its own access columns (captured stripped) — same index,
-        same races, same walk results."""
+        """Replay fed by captured columns equals replay fed by the
+        replayed threads' own access columns (captured stripped) — same
+        index, same races, same walk results."""
         for execution in paper_suite():
             _, log = _record(execution)
             assert log.captured is not None
             program = execution.workload.program()
 
             with_capture_perf = PerfStats()
-            with_capture = OrderedReplay(
-                log, program, fast_path=True, perf=with_capture_perf
-            )
-            without_capture = OrderedReplay(_stripped(log), program, fast_path=True)
+            with_capture = OrderedReplay(log, program, perf=with_capture_perf)
+            without_capture = OrderedReplay(_stripped(log), program)
 
             assert with_capture_perf.replay_captured_handoffs == 1
             # The handoff never interprets a thread for the walk/index.
@@ -180,8 +196,8 @@ class TestCapturedHandoff:
         assert round_tripped.captured is not None
 
         perf = PerfStats()
-        from_disk = OrderedReplay(round_tripped, program, fast_path=True, perf=perf)
-        fresh = OrderedReplay(log, program, fast_path=True)
+        from_disk = OrderedReplay(round_tripped, program, perf=perf)
+        fresh = OrderedReplay(log, program)
         assert perf.replay_captured_handoffs == 1
         assert from_disk.output() == fresh.output()
         assert from_disk.final_memory() == fresh.final_memory()

@@ -1,6 +1,14 @@
 """Executable oracles: slow, obviously-correct references the production
 paths are diffed against.  Nothing under ``src/`` imports them."""
 
+from .generic_interpreters import (
+    GenericMachine,
+    GenericOrderedReplay,
+    GenericThreadReplayer,
+    GenericThreadState,
+    generic_record_run,
+    generic_replay_thread,
+)
 from .naive_classifier import (
     NaiveRaceClassifier,
     naive_log_analysis,
@@ -13,6 +21,12 @@ from .naive_detector import (
 )
 
 __all__ = [
+    "GenericMachine",
+    "GenericOrderedReplay",
+    "GenericThreadReplayer",
+    "GenericThreadState",
+    "generic_record_run",
+    "generic_replay_thread",
     "NaiveHappensBeforeDetector",
     "NaiveRaceClassifier",
     "naive_log_analysis",

@@ -56,17 +56,24 @@ def test_inspector_matches_machine_trace(source, seed):
         seed=seed,
     )
 
-    # Wrap retire to snapshot registers after each step.
-    original_retire = recorder_machine.retire
+    # Wrap each thread's dispatch to snapshot registers after every
+    # retired step, keyed by the index of the step that just retired.
     after_step = {}
 
-    def snapshotting_retire(thread, static_id):
-        original_retire(thread, static_id)
-        # thread.steps has not been incremented yet inside retire(), so
-        # this key is the index of the step that just retired.
-        after_step[(thread.tid, thread.steps)] = thread.registers.snapshot()
+    def snapshotting(thread):
+        step_fast = thread.step_fast
 
-    recorder_machine.retire = snapshotting_retire
+        def step(machine):
+            before = thread.steps
+            outcome = step_fast(machine)
+            if thread.steps > before:
+                after_step[(thread.tid, before)] = thread.registers.snapshot()
+            return outcome
+
+        thread.step_fast = step
+
+    for thread in recorder_machine.threads:
+        snapshotting(thread)
     recorder_machine.run()
 
     _, log = record_run(
@@ -79,9 +86,7 @@ def test_inspector_matches_machine_trace(source, seed):
     for name, thread_log in log.threads.items():
         tid = thread_log.tid
         for step in range(thread_log.steps):
-            expected = after_step.get((tid, step))
-            if expected is None:
-                continue
+            expected = after_step[(tid, step)]
             assert inspector.registers_at(name, step + 1) == expected, (
                 "inspector diverged at %s step %d" % (name, step)
             )

@@ -103,6 +103,14 @@ class TestReplay:
         assert "w1" in text and "w2" in text
         assert "steps replayed" in text
 
+    @pytest.mark.parametrize("verb", ["record", "replay"])
+    def test_no_fast_path_flag_is_gone(self, recorded, verb):
+        program, log, _ = recorded
+        target = program if verb == "record" else log
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([verb, str(target), "--no-fast-path"])
+        assert excinfo.value.code == 2
+
 
 class TestDetect:
     def test_detect_lists_unique_races(self, recorded):
@@ -225,6 +233,29 @@ class TestInspect:
         code, text = run_cli(["inspect", str(log), "--thread", "ghost"])
         assert code == 1
         assert "no thread" in text
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--step", "-5"), ("--count", "0"), ("--count", "-1")]
+    )
+    def test_inspect_rejects_negative_window(self, recorded, flag, value, capsys):
+        _, log, _ = recorded
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["inspect", str(log), "--thread", "w1", flag, value])
+        assert excinfo.value.code == 2
+        assert "expected an integer >=" in capsys.readouterr().err
+
+    def test_inspect_step_past_thread_end(self, recorded):
+        _, log, _ = recorded
+        steps = load_log(log).threads["w1"].steps
+        for start in (steps, 99999):
+            code, text = run_cli(
+                ["inspect", str(log), "--thread", "w1", "--step", str(start)]
+            )
+            assert code == 1
+            assert text == "step %d out of range for thread w1 (0..%d)\n" % (
+                start,
+                steps - 1,
+            )
 
 
 class TestDatabaseAccumulation:

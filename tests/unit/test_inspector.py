@@ -4,9 +4,11 @@ import pytest
 
 from repro.isa import assemble
 from repro.record import record_run
-from repro.replay import OrderedReplay
+from repro.replay import OrderedReplay, ReplayDivergence
 from repro.replay.inspector import TimeTravelInspector
 from repro.vm import ExplicitScheduler, RandomScheduler
+
+from oracles import generic_replay_thread
 
 SOURCE = """
 .data
@@ -76,6 +78,30 @@ class TestRegisterTimeTravel:
         _, _, tt = inspector
         with pytest.raises(IndexError):
             tt.registers_at("main", 99999)
+        with pytest.raises(IndexError):
+            tt.registers_at("main", -1)
+
+    def test_matches_oracle_replay_snapshots(self, inspector):
+        """Every register snapshot the eager oracle replay takes (region
+        boundaries, memory steps, end state) is what the inspector says."""
+        program, ordered, tt = inspector
+        for name in ordered.log.threads:
+            eager = generic_replay_thread(program, ordered.log, name)
+            for snapshots in (
+                eager.region_start_registers,
+                eager.region_end_registers,
+                eager.registers_at_step,
+            ):
+                for step, registers in snapshots.items():
+                    assert tt.registers_at(name, step) == registers
+            assert tt.registers_at(name, eager.steps) == eager.final_registers
+
+    def test_diverged_end_state_raises(self, inspector):
+        _, ordered, tt = inspector
+        replay = ordered.thread_replays["main"]
+        replay.final_registers = (1,) * 16
+        with pytest.raises(ReplayDivergence):
+            tt.registers_at("main", 0)
 
 
 class TestStepViews:
@@ -109,6 +135,34 @@ class TestStepViews:
         _, _, tt = inspector
         assert tt.pc_at("main", 0) == 0
         assert tt.pc_at("main", 1) == 1
+
+    def test_steps_outside_the_thread_raise(self, inspector):
+        """Negative steps do not wrap around; past-the-end steps raise."""
+        _, ordered, tt = inspector
+        steps = ordered.thread_replays["main"].steps
+        for step in (-1, -5, steps, 99999):
+            with pytest.raises(IndexError, match="out of range for thread main"):
+                tt.step_view("main", step)
+            with pytest.raises(IndexError):
+                tt.pc_at("main", step)
+        with pytest.raises(IndexError) as excinfo:
+            tt.walk("main", start=steps, count=3)
+        assert str(excinfo.value) == (
+            "step %d out of range for thread main (0..%d)" % (steps, steps - 1)
+        )
+        assert tt.walk("main", start=steps, count=0) == []
+
+    def test_step_view_access_is_the_first_row_of_the_step(self, inspector):
+        """A lock step shows its synchronization read, like the seed scan."""
+        program, ordered, tt = inspector
+        replay = ordered.thread_replays["main"]
+        lock_step = next(
+            step
+            for step, static_id in enumerate(replay.static_ids)
+            if str(program.instruction(static_id)).startswith("lock")
+        )
+        view = tt.step_view("main", lock_step)
+        assert view.access == ("load", program.data_address("m"), 0)
 
 
 class TestProvenance:

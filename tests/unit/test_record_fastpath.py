@@ -1,11 +1,11 @@
-"""Edge cases of the record-stage fast path.
+"""Edge cases of the record stage.
 
 The predecoded interpreter, the columnar recorder, and the v2 binary
 elision each have corners the paper suite never exercises: faulting
 threads, threads that retire zero steps, regions containing nothing but
 sequencers, and logs whose load values actually repeat.  Each test pins
-the fast path to the generic reference (or to a hand-built expectation)
-on one such corner.
+the recorder to the generic oracle machine (or to a hand-built
+expectation) on one such corner.
 """
 
 import dataclasses
@@ -26,10 +26,12 @@ from repro.record.serialization import load_log, save_log
 from repro.replay.ordered_replay import OrderedReplay
 from repro.vm import ExplicitScheduler, RandomScheduler
 
+from oracles import generic_record_run
+
 
 def _both_paths(program, **kwargs):
-    fast = record_run(program, fast_path=True, **kwargs)
-    slow = record_run(program, fast_path=False, **kwargs)
+    fast = record_run(program, **kwargs)
+    slow = generic_record_run(program, **kwargs)
     return fast, slow
 
 
@@ -90,12 +92,10 @@ class TestFastPathEdgeCases:
             fast = record_run(
                 program,
                 scheduler=RandomScheduler(seed=seed, switch_probability=0.5),
-                fast_path=True,
             )
-            slow = record_run(
+            slow = generic_record_run(
                 program,
                 scheduler=RandomScheduler(seed=seed, switch_probability=0.5),
-                fast_path=False,
             )
             assert fast[1] == slow[1]
             assert fast[0].threads == slow[0].threads

@@ -1,4 +1,4 @@
-"""Edge cases of the replay-stage fast path.
+"""Edge cases of the replay stage.
 
 The predecoded thread replayer, the lazy register snapshots, the bisected
 region lookup, the strict ``output()`` check and the v3 captured-columns
@@ -15,10 +15,13 @@ import pytest
 from repro.isa import assemble
 from repro.record import record_run
 from repro.record.binary_format import decode_log, encode_log
+from repro.record.serialization import load_log, save_log
 from repro.replay.errors import ReplayDivergence
 from repro.replay.events import LazyAccessList, LazyRegisterDict
 from repro.replay.ordered_replay import OrderedReplay
 from repro.vm import RandomScheduler
+
+from oracles import GenericOrderedReplay
 
 RACY = """
 .data
@@ -71,20 +74,18 @@ x: .word 0
 """
 
 
-def _replayed(source, seed=7, fast_path=True, name="fastpath"):
+def _replayed(source, seed=7, name="fastpath"):
     program = assemble(source, name=name)
     result, log = record_run(
         program,
         scheduler=RandomScheduler(seed=seed, switch_probability=0.4),
         seed=seed,
     )
-    return program, result, log, OrderedReplay(log, program, fast_path=fast_path)
+    return program, result, log, OrderedReplay(log, program)
 
 
 def _generic(log, program):
-    stripped = dataclasses.replace(log)
-    stripped.captured = None
-    return OrderedReplay(stripped, program, fast_path=False)
+    return GenericOrderedReplay(log, program)
 
 
 class TestRegionForStepBisect:
@@ -171,6 +172,34 @@ class TestLazySnapshotEdges:
         first_access_step = replay.accesses[0].thread_step
         replay.registers_at_step[first_access_step]
         assert dict.__len__(replay.registers_at_step) == 1
+
+
+class TestUncapturedAccessIndex:
+    def test_json_log_index_reads_replayed_columns(self, tmp_path):
+        """A log without captured columns (the JSON form) feeds the
+        columns-only index from the replayed threads' access columns, and
+        the index equals the oracle's, built from eager access objects."""
+        program, _, log, _ = _replayed(RACY)
+        path = tmp_path / "racy.json"
+        save_log(log, path)
+        loaded = load_log(path)
+        assert loaded.captured is None
+
+        ordered = OrderedReplay(loaded, program)
+        for name in loaded.threads:
+            assert isinstance(ordered.access_columns(name), LazyAccessList)
+        index = ordered.access_index()
+        oracle = _generic(loaded, program).access_index()
+        assert index.access_count > 0
+        assert list(index.steps) == list(oracle.steps)
+        assert list(index.addresses) == list(oracle.addresses)
+        assert list(index.values) == list(oracle.values)
+        assert bytes(index.write_flags) == bytes(oracle.write_flags)
+        assert list(index.region_of) == list(oracle.region_of)
+        assert index.postings == oracle.postings
+        assert index.materialized_objects() == oracle.materialized_objects()
+        for region in ordered.all_regions():
+            assert index.region_accesses(region) == oracle.region_accesses(region)
 
 
 class TestStrictOutput:

@@ -1,13 +1,18 @@
-"""Unit tests for isolated per-thread replay."""
+"""Unit tests for isolated per-thread replay (``ThreadReplayer.run_fast``)."""
 
 import pytest
 
 from repro.isa import assemble
 from repro.record import record_run
-from repro.replay import ReplayDivergence, ThreadReplayer, replay_thread
+from repro.replay import ReplayDivergence, ThreadReplayer
 from repro.vm import ExplicitScheduler, RandomScheduler
 
 from conftest import record_with_trace
+from oracles import generic_replay_thread
+
+
+def replay_thread(program, log, thread_name):
+    return ThreadReplayer(program, log, thread_name).run_fast()
 
 
 def roundtrip(source, seed=3, scheduler=None):
@@ -110,11 +115,16 @@ class TestSnapshots:
 
 
 class TestDivergence:
+    """Each tampering is caught by the shipped replayer; the oracle
+    subclass below runs the same cases through the generic replayer."""
+
+    replay = staticmethod(replay_thread)
+
     def test_unknown_thread(self):
         program = assemble(".thread t\n    halt\n")
         _, log = record_run(program)
         with pytest.raises(ReplayDivergence):
-            ThreadReplayer(program, log, "ghost")
+            self.replay(program, log, "ghost")
 
     def test_corrupted_load_address_detected(self):
         program = assemble(
@@ -126,7 +136,7 @@ class TestDivergence:
             thread_step=0, address=record.address + 1, value=record.value
         )
         with pytest.raises(ReplayDivergence):
-            replay_thread(program, log, "t")
+            self.replay(program, log, "t")
 
     def test_missing_load_record_detected(self):
         program = assemble(
@@ -135,11 +145,15 @@ class TestDivergence:
         _, log = record_run(program)
         log.threads["t"].loads.clear()
         with pytest.raises(ReplayDivergence):
-            replay_thread(program, log, "t")
+            self.replay(program, log, "t")
 
     def test_missing_syscall_record_detected(self):
         program = assemble(".thread t\n    sys_rand r1, 5\n    halt\n")
         _, log = record_run(program)
         log.threads["t"].syscalls.clear()
         with pytest.raises(ReplayDivergence):
-            replay_thread(program, log, "t")
+            self.replay(program, log, "t")
+
+
+class TestOracleDivergence(TestDivergence):
+    replay = staticmethod(generic_replay_thread)
