@@ -36,13 +36,24 @@ Replay failures (§4.2.1) surface as :class:`ReplayFailure`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.operands import Imm, Mem
+from ..isa.operands import WORD_MASK
+from ..isa.predecode import (
+    K_ALU_RI,
+    K_ALU_RR,
+    K_BRANCH1,
+    K_BRANCH2,
+    K_HALT,
+    K_JMP,
+    K_LI,
+    K_LOAD,
+    K_MOV,
+    K_STORE,
+    SEQUENCER_KINDS,
+)
 from ..isa.program import CodeBlock, Program, StaticInstructionId
-from ..vm import alu
 from ..vm.registers import RegisterFile
 from .errors import ReplayFailure, ReplayFailureKind
 
@@ -159,36 +170,34 @@ class _VPThread:
     recorded load values — the original-order replay, which by definition
     is the recording itself.  A live thread follows the log only up to its
     racing operation and then runs against the VP memory.
+    ``at_racing_op`` starts the thread on the recorded state just before
+    its racing operation (the prefix fast-forward) instead of at its
+    region start.
+
+    Like :class:`~repro.vm.thread.ThreadState`, the thread binds its
+    block's predecoded dispatch records and an alias of its register
+    value list, so the run loop reaches both without attribute hops.
     """
 
-    def __init__(self, spec: VPThreadSpec, follow_log: bool):
+    def __init__(self, spec: VPThreadSpec, follow_log: bool, at_racing_op: bool):
         self.spec = spec
         self.name = spec.thread_name
         self.block = spec.block
-        self.pc = spec.start_pc
-        self.registers = RegisterFile(spec.registers)
-        self.steps = 0
+        self.records: list = spec.block.decoded()
+        if at_racing_op:
+            self.pc = spec.racing_pc
+            self.registers = RegisterFile(spec.racing_registers)
+            self.steps = spec.racing_step_offset
+            self.executed: List[StaticInstructionId] = list(spec.prefix_static_ids)
+        else:
+            self.pc = spec.start_pc
+            self.registers = RegisterFile(spec.registers)
+            self.steps = 0
+            self.executed = []
+        self.regs: list = self.registers._values
         self.done = False
         self.follow_log = follow_log
-        self.executed: List[StaticInstructionId] = []
         self.racing_value: Optional[int] = None
-
-    def load_is_logged(self) -> bool:
-        """Should the load at the current step come from the log?"""
-        if self.spec.recorded_loads is None:
-            return False
-        if self.follow_log:
-            return True
-        return self.steps < self.spec.racing_step_offset
-
-    def at_region_end(self) -> bool:
-        """True when the next instruction closes the region."""
-        if self.done:
-            return True
-        if self.pc >= len(self.block):
-            return True
-        instruction = self.block.instruction_at(self.pc)
-        return instruction.spec.is_sequencer_point
 
 
 class _VPMemory:
@@ -200,12 +209,11 @@ class _VPMemory:
     read different subsets of memory do not spuriously differ.
     """
 
-    __slots__ = ("values", "written", "store_count")
+    __slots__ = ("values", "written")
 
     def __init__(self) -> None:
         self.values: Dict[int, int] = {}
         self.written: Set[int] = set()
-        self.store_count = 0
 
     def seed(self, address: int, value: int) -> None:
         """Record an observed (read) value without marking it written.
@@ -219,9 +227,8 @@ class _VPMemory:
             self.values[address] = value
 
     def store(self, address: int, value: int) -> None:
-        self.values[address] = value & ((1 << 64) - 1)
+        self.values[address] = value & WORD_MASK
         self.written.add(address)
-        self.store_count += 1
 
     def clone(self) -> "_VPMemory":
         """An independent copy (the cached prefix-seed image is cloned per
@@ -229,7 +236,6 @@ class _VPMemory:
         copy = _VPMemory.__new__(_VPMemory)
         copy.values = dict(self.values)
         copy.written = set(self.written)
-        copy.store_count = self.store_count
         return copy
 
     def dirty(self) -> Dict[int, int]:
@@ -275,7 +281,7 @@ class VirtualProcessor:
         processor for probe-divergence fallback members instead of
         rebuilding specs and re-deriving the prefix image.
         """
-        clone = VirtualProcessor(
+        clone = type(self)(
             self.program, live_in_image, freed, self.spec_a, self.spec_b, self.config
         )
         clone._prefix_seed = self._prefix_seed
@@ -292,21 +298,21 @@ class VirtualProcessor:
         *alternative* replay, which may leave the recorded envelope and
         raise :class:`ReplayFailure` (§4.2.1).
         """
-        thread_a = _VPThread(self.spec_a, follow_log)
-        thread_b = _VPThread(self.spec_b, follow_log)
-
+        if first not in (self.spec_a.thread_name, self.spec_b.thread_name):
+            raise ValueError("unknown first thread %r" % first)
         # Phase 1: prefixes, in fixed thread order.  Both replays' prefixes
         # follow the log, so when the specs carry the precomputed prefix
         # state the threads fast-forward to their racing ops and only the
         # divergent window executes live.
-        if (
+        fast_forward = (
             not follow_log
             and self.spec_a.racing_registers is not None
             and self.spec_b.racing_registers is not None
-        ):
+        )
+        thread_a = _VPThread(self.spec_a, follow_log, fast_forward)
+        thread_b = _VPThread(self.spec_b, follow_log, fast_forward)
+        if fast_forward:
             memory = self._fast_forward_pair()
-            for thread in (thread_a, thread_b):
-                self._install_prefix(thread)
         else:
             memory = _VPMemory()
             for thread in (thread_a, thread_b):
@@ -316,26 +322,24 @@ class VirtualProcessor:
         ordered = (
             (thread_a, thread_b) if first == thread_a.name else (thread_b, thread_a)
         )
-        if first not in (thread_a.name, thread_b.name):
-            raise ValueError("unknown first thread %r" % first)
         for thread in ordered:
-            self._step(thread, memory)
+            self._run(thread, memory, thread.steps + 1)
 
         # Phase 3: suffixes to region end, in fixed thread order.
         for thread in (thread_a, thread_b):
-            self._run_to_region_end(thread, memory)
+            self._run(thread, memory, None)
 
         return VPOutcome(
             registers={
-                thread_a.name: thread_a.registers.snapshot(),
-                thread_b.name: thread_b.registers.snapshot(),
+                thread_a.name: tuple(thread_a.regs),
+                thread_b.name: tuple(thread_b.regs),
             },
             dirty_memory=memory.dirty(),
             end_pcs={thread_a.name: thread_a.pc, thread_b.name: thread_b.pc},
             steps={thread_a.name: thread_a.steps, thread_b.name: thread_b.steps},
             executed={
-                thread_a.name: list(thread_a.executed),
-                thread_b.name: list(thread_b.executed),
+                thread_a.name: thread_a.executed,
+                thread_b.name: thread_b.executed,
             },
             racing_values={
                 thread_a.name: thread_a.racing_value,
@@ -347,15 +351,18 @@ class VirtualProcessor:
     # Phases.
     # ------------------------------------------------------------------
 
-    def _run_to_racing_op(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        while thread.steps < thread.spec.racing_step_offset:
-            if thread.at_region_end():
-                raise ReplayFailure(
-                    ReplayFailureKind.DIVERGENCE,
-                    "%s reached region end before its racing op" % thread.name,
-                )
-            self._step(thread, memory)
-        static_here = thread.block.static_id(thread.pc) if thread.pc < len(thread.block) else None
+    def _run_to_racing_op(self, thread: _VPThread, memory: _VPMemory) -> None:
+        self._run(thread, memory, thread.spec.racing_step_offset)
+        if thread.steps < thread.spec.racing_step_offset:
+            raise ReplayFailure(
+                ReplayFailureKind.DIVERGENCE,
+                "%s reached region end before its racing op" % thread.name,
+            )
+        static_here = (
+            thread.block.static_id(thread.pc)
+            if thread.pc < len(thread.block)
+            else None
+        )
         if static_here != thread.spec.racing_static_id:
             raise ReplayFailure(
                 ReplayFailureKind.DIVERGENCE,
@@ -363,56 +370,15 @@ class VirtualProcessor:
                 % (thread.name, static_here, thread.spec.racing_static_id),
             )
 
-    #: Steps a thread runs before spin-cycle detection engages (almost every
-    #: replay finishes well under this, so the common case pays nothing).
-    _SPIN_CHECK_AFTER = 64
-
-    def _run_to_region_end(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        """Run ``thread`` to its region end, cutting off provable spins.
-
-        A live thread that provably spins forever raises the exact
-        STEP_LIMIT failure early instead of interpreting up to
-        ``step_limit`` instructions first — same verdicts, far less work.
-        """
-        if thread.follow_log:
-            # A log-following thread's loads are keyed by step number, so a
-            # repeated (pc, registers) state does *not* imply repetition;
-            # cycle detection is sound only for live threads.
-            while not thread.at_region_end():
-                self._step(thread, memory)
-            return
-        seen: Optional[Set[Tuple[int, Tuple[int, ...]]]] = None
-        stores_seen = -1
-        while not thread.at_region_end():
-            if thread.steps >= self._SPIN_CHECK_AFTER:
-                # Past the racing op a live thread reads only VP memory, and
-                # values there change only on stores.  So if it revisits a
-                # (pc, registers) state with no store in between, every
-                # input to every subsequent instruction is unchanged: the
-                # trajectory repeats verbatim, forever.  That replay *will*
-                # exhaust the step limit — raise its exact failure now.
-                if memory.store_count != stores_seen:
-                    stores_seen = memory.store_count
-                    seen = set()
-                state = (thread.pc, thread.registers.snapshot())
-                if state in seen:
-                    raise ReplayFailure(
-                        ReplayFailureKind.STEP_LIMIT,
-                        "%s exceeded %d steps"
-                        % (thread.name, self.config.step_limit),
-                    )
-                seen.add(state)
-            self._step(thread, memory)
-
-    def _fast_forward_pair(self) -> "_VPMemory":
+    def _fast_forward_pair(self) -> _VPMemory:
         """The seeded prefix memory, built once per spec pair and cloned.
 
-        Matches running :meth:`_run_to_racing_op` on thread A then B step
-        for step: each prefix's loads seed the VP memory with their
-        recorded values and its stores write through, in program order
-        (and a store blocks later stale seeds of the same address, which
-        is why the A-then-B application order is part of the contract).
-        The step-limit failures the interpreter would raise mid-prefix are
+        Matches :meth:`_run_to_racing_op` on thread A then B step for
+        step: each prefix's loads seed the VP memory with their recorded
+        values and its stores write through, in program order (and a store
+        blocks later stale seeds of the same address, which is why the
+        A-then-B application order is part of the contract).  The
+        step-limit failures the interpreter would raise mid-prefix are
         reproduced up front, A first.  The built image depends only on the
         two specs, so it lives in the :attr:`_prefix_seed` holder shared
         across :meth:`rebind` clones and is cloned for each run — phases
@@ -437,16 +403,8 @@ class VirtualProcessor:
             self._prefix_seed[0] = seed
         return seed.clone()
 
-    def _install_prefix(self, thread: _VPThread) -> None:
-        """Land one thread on the recorded state before its racing op."""
-        spec = thread.spec
-        thread.pc = spec.racing_pc
-        thread.registers = RegisterFile(spec.racing_registers)
-        thread.steps = spec.racing_step_offset
-        thread.executed = list(spec.prefix_static_ids)
-
     # ------------------------------------------------------------------
-    # Copy-on-read memory.
+    # Execution.
     # ------------------------------------------------------------------
 
     def _check_address(self, address: int) -> None:
@@ -463,141 +421,199 @@ class VirtualProcessor:
                     "use-after-free at %#x (freed allocation %#x)" % (address, base),
                 )
 
-    def _read(self, address: int, memory: "_VPMemory") -> int:
-        self._check_address(address)
-        values = memory.values
-        if address in values:
-            return values[address]
-        # One probe per first read: the live-in image may be a lazy view
-        # (one bisect per lookup) under a probe-recording tracker.
-        value = self.live_in.get(address)
-        if value is not None:
-            values[address] = value
-            return value
-        if self.config.allow_unknown_addresses:
-            # §4.2.1 extension: treat the address as zero-filled memory
-            # (what the machine would return for a never-written word).
-            memory.values[address] = 0
-            return 0
-        raise ReplayFailure(
-            ReplayFailureKind.UNKNOWN_ADDRESS,
-            "load of address %#x absent from the recorded live-in image" % address,
+    #: Steps a thread runs before spin-cycle detection engages (almost every
+    #: replay finishes well under this, so the common case pays nothing).
+    _SPIN_CHECK_AFTER = 64
+
+    def _run(
+        self, thread: _VPThread, memory: _VPMemory, until: Optional[int]
+    ) -> None:
+        """Run ``thread`` until it has retired ``until`` steps in total, or
+        to its region end when ``until`` is None.  Each phase is one call:
+        the prefix runs to the racing step offset, the racing step one
+        step further, the suffix to the region end.
+
+        A region ends before a sequencer point (which the VP never
+        executes), at the end of the block, or after a ``halt``; the loop
+        stops there in every phase.  A live thread running to its region
+        end that provably spins forever raises the exact STEP_LIMIT
+        failure early instead of interpreting up to ``step_limit``
+        instructions first — same verdicts, far less work.
+
+        Dispatch is inlined on the predecoded records, as in
+        :meth:`~repro.vm.thread.ThreadState.step_fast`; the operand-object
+        ``GenericVirtualProcessor`` in ``tests/oracles/`` is its reference.
+        """
+        pc = thread.pc
+        if thread.done or pc < 0:
+            # Branch targets are label indices (never negative), so only
+            # a spec's start pc can be out of range below.
+            thread.done = True
+            return
+        spec = thread.spec
+        name = thread.name
+        config = self.config
+        step_limit = config.step_limit
+        records = thread.records
+        end = len(records)
+        regs = thread.regs
+        steps = thread.steps
+        executed = thread.executed.append
+        follow_log = thread.follow_log
+        racing = spec.racing_step_offset
+        footprint = (
+            None
+            if follow_log or config.allow_unrecorded_control_flow
+            else spec.pc_footprint
         )
+        recorded_loads = spec.recorded_loads
+        if recorded_loads is None:
+            logged_until = -1
+        elif follow_log:
+            logged_until = step_limit
+        else:
+            logged_until = racing
+        spin = until is None and not follow_log
+        if until is None:
+            until = step_limit + 1
+        # Below ``slow_from`` a step needs neither the spin check nor the
+        # step-limit check.
+        slow_from = min(self._SPIN_CHECK_AFTER, step_limit) if spin else step_limit
+        seen: Set[Tuple[int, Tuple[int, ...]]] = set()
+        values = memory.values
+        written = memory.written
+        live_in_get = self.live_in.get
+        freed = self.freed
+        allow_unknown = config.allow_unknown_addresses
+        sequencer_kinds = SEQUENCER_KINDS
 
-    def _write(self, address: int, value: int, memory: "_VPMemory") -> None:
-        self._check_address(address)
-        memory.store(address, value)
-
-    # ------------------------------------------------------------------
-    # Instruction execution.
-    # ------------------------------------------------------------------
-
-    def _step(self, thread: _VPThread, memory: "_VPMemory") -> None:
-        if thread.done:
-            return
-        if thread.steps >= self.config.step_limit:
-            raise ReplayFailure(
-                ReplayFailureKind.STEP_LIMIT,
-                "%s exceeded %d steps" % (thread.name, self.config.step_limit),
-            )
-        pc = thread.pc
-        if pc >= len(thread.block) or pc < 0:
-            thread.done = True
-            return
-        if (
-            pc not in thread.spec.pc_footprint
-            and not thread.follow_log
-            and not self.config.allow_unrecorded_control_flow
-        ):
-            raise ReplayFailure(
-                ReplayFailureKind.UNRECORDED_CONTROL_FLOW,
-                "%s reached pc %d of block %r, never executed in the recording"
-                % (thread.name, pc, thread.block.name),
-            )
-        instruction = thread.block.instruction_at(pc)
-        if instruction.spec.is_sequencer_point:
-            # Region boundary: never execute the boundary instruction.
-            thread.done = True
-            return
-        thread.executed.append(thread.block.static_id(pc))
-        thread.pc = self._execute(instruction, thread, memory)
-        thread.steps += 1
-
-    def _execute(
-        self, instruction: Instruction, thread: _VPThread, memory: "_VPMemory"
-    ) -> int:
-        opcode = instruction.opcode
-        operands = instruction.operands
-        registers = thread.registers
-        pc = thread.pc
-
-        def reg(operand) -> int:
-            return registers.read(operand.index)
-
-        def mem_address(operand: Mem) -> int:
-            base = registers.read(operand.base) if operand.base is not None else 0
-            return base + operand.offset
-
-        if opcode == "li":
-            registers.write(operands[0].index, operands[1].value)
-        elif opcode == "mov":
-            registers.write(operands[0].index, reg(operands[1]))
-        elif alu.is_binary_op(opcode):
-            rhs = (
-                operands[2].value
-                if isinstance(operands[2], Imm)
-                else reg(operands[2])
-            )
-            registers.write(
-                operands[0].index, alu.binary_op(opcode, reg(operands[1]), rhs)
-            )
-        elif opcode == "load":
-            address = mem_address(operands[1])
-            if thread.load_is_logged():
-                # Replay the load from the log (iDNA semantics: the whole
-                # original-order replay, and every live replay's pre-race
-                # prefix).  The recorded value also seeds the VP memory so
-                # later live reads stay consistent with the recording.
-                recorded = thread.spec.recorded_loads.get(thread.steps)
-                if recorded is None or recorded[0] != address:
+        while steps < until:
+            if pc >= end:
+                thread.done = True
+                break
+            record = records[pc]
+            kind = record[0]
+            if kind in sequencer_kinds:
+                # Region boundary: never execute the boundary instruction.
+                thread.done = True
+                break
+            if steps >= slow_from:
+                if spin:
+                    # Past the racing op a live thread reads only VP
+                    # memory, and values there change only on stores
+                    # (which clear ``seen``).  So if it revisits a (pc,
+                    # registers) state with no store in between, every
+                    # input to every subsequent instruction is unchanged:
+                    # the trajectory repeats verbatim, forever.  That
+                    # replay *will* exhaust the step limit — raise its
+                    # exact failure now.
+                    state = (pc, tuple(regs))
+                    if state in seen or steps >= step_limit:
+                        raise ReplayFailure(
+                            ReplayFailureKind.STEP_LIMIT,
+                            "%s exceeded %d steps" % (name, step_limit),
+                        )
+                    seen.add(state)
+                elif steps >= step_limit:
                     raise ReplayFailure(
-                        ReplayFailureKind.DIVERGENCE,
-                        "%s logged load at step %d has no matching log record"
-                        % (thread.name, thread.steps),
+                        ReplayFailureKind.STEP_LIMIT,
+                        "%s exceeded %d steps" % (name, step_limit),
                     )
-                value = recorded[1]
-                memory.seed(address, value)
-            else:
-                value = self._read(address, memory)
-            if thread.steps == thread.spec.racing_step_offset:
-                thread.racing_value = value
-            registers.write(operands[0].index, value)
-        elif opcode == "store":
-            value = reg(operands[0])
-            if thread.steps == thread.spec.racing_step_offset:
-                thread.racing_value = value
-            address = mem_address(operands[1])
-            if thread.follow_log:
-                # The recording proves this store was legal; skip checks.
-                memory.store(address, value)
-            else:
-                self._write(address, value, memory)
-        elif opcode == "jmp":
-            return operands[0].value
-        elif opcode in ("beq", "bne", "blt", "bge"):
-            if alu.branch_taken(opcode, reg(operands[0]), reg(operands[1])):
-                return operands[2].value
-        elif opcode in ("beqz", "bnez"):
-            if alu.branch_taken(opcode, reg(operands[0])):
-                return operands[1].value
-        elif opcode == "halt":
-            thread.done = True
-            return pc
-        elif opcode == "nop":
-            pass
-        else:  # pragma: no cover - sequencer points are intercepted in _step
-            raise ReplayFailure(
-                ReplayFailureKind.DIVERGENCE,
-                "sequencer-point opcode %r reached _execute" % opcode,
-            )
-        return pc + 1
+            if footprint is not None and pc not in footprint:
+                raise ReplayFailure(
+                    ReplayFailureKind.UNRECORDED_CONTROL_FLOW,
+                    "%s reached pc %d of block %r, never executed in the recording"
+                    % (name, pc, thread.block.name),
+                )
+            executed(record[1])
+
+            if kind == K_ALU_RI:
+                regs[record[3]] = record[2](regs[record[4]], record[5]) & WORD_MASK
+            elif kind == K_LOAD:
+                base = record[3]
+                address = (regs[base] if base is not None else 0) + record[4]
+                if steps < logged_until:
+                    # Replay the load from the log (iDNA semantics: the
+                    # whole original-order replay, and every live replay's
+                    # pre-race prefix).  The recorded value also seeds the
+                    # VP memory so later live reads stay consistent with
+                    # the recording.
+                    recorded = recorded_loads.get(steps)
+                    if recorded is None or recorded[0] != address:
+                        raise ReplayFailure(
+                            ReplayFailureKind.DIVERGENCE,
+                            "%s logged load at step %d has no matching log record"
+                            % (name, steps),
+                        )
+                    value = recorded[1]
+                    if address not in written:
+                        values[address] = value
+                else:
+                    # Copy-on-read: the first read of an address takes
+                    # one probe of the live-in image (which may be a lazy
+                    # view doing one bisect per lookup).
+                    if address <= 0 or freed:
+                        self._check_address(address)
+                    value = values.get(address)
+                    if value is None:
+                        value = live_in_get(address)
+                        if value is None:
+                            if not allow_unknown:
+                                raise ReplayFailure(
+                                    ReplayFailureKind.UNKNOWN_ADDRESS,
+                                    "load of address %#x absent from the "
+                                    "recorded live-in image" % address,
+                                )
+                            # §4.2.1 extension: treat the address as
+                            # zero-filled memory (what the machine would
+                            # return for a never-written word).
+                            value = 0
+                        values[address] = value
+                if steps == racing:
+                    thread.racing_value = value
+                regs[record[2]] = value & WORD_MASK
+            elif kind == K_BRANCH1:
+                if record[2](regs[record[3]]):
+                    pc = record[4]
+                    steps += 1
+                    continue
+            elif kind == K_STORE:
+                base = record[3]
+                address = (regs[base] if base is not None else 0) + record[4]
+                value = regs[record[2]]
+                if steps == racing:
+                    thread.racing_value = value
+                # A log-following store is proven legal by the recording.
+                if not follow_log and (address <= 0 or freed):
+                    self._check_address(address)
+                values[address] = value
+                written.add(address)
+                seen.clear()
+            elif kind == K_ALU_RR:
+                regs[record[3]] = (
+                    record[2](regs[record[4]], regs[record[5]]) & WORD_MASK
+                )
+            elif kind == K_LI:
+                regs[record[2]] = record[3]
+            elif kind == K_BRANCH2:
+                if record[2](regs[record[3]], regs[record[4]]):
+                    pc = record[5]
+                    steps += 1
+                    continue
+            elif kind == K_MOV:
+                regs[record[2]] = regs[record[3]]
+            elif kind == K_JMP:
+                pc = record[2]
+                steps += 1
+                continue
+            elif kind == K_HALT:
+                # The pc stays on the halt; the region ends after it.
+                steps += 1
+                thread.done = True
+                break
+            # K_NOP: nothing to do.
+            pc += 1
+            steps += 1
+
+        thread.pc = pc
+        thread.steps = steps

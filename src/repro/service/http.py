@@ -111,6 +111,9 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-analysis/1"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two sends; with Nagle's algorithm the
+    #: body waits for the peer's delayed ACK (~40 ms per keep-alive reply).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:
@@ -122,25 +125,48 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing -------------------------------------------------------
 
-    def _send_json(self, status: int, document: dict) -> None:
+    def _send_json(self, status: int, document: dict, close: bool = False) -> None:
         body = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
-        self._send_bytes(status, body)
+        self._send_bytes(status, body, close=close)
 
     def _send_bytes(
-        self, status: int, body: bytes, content_type: str = "application/json"
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        close: bool = False,
     ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            self._send_json(413, {"error": "body too large"})
+        """The request body, or ``None`` after replying with an error.
+
+        A rejected body is left unread, so the reply closes the
+        connection rather than parse the body as the next request.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._send_json(
+                400,
+                {
+                    "error": "Content-Length must be a non-negative integer, got %r"
+                    % declared
+                },
+                close=True,
+            )
             return None
-        return self.rfile.read(length)
+        digits = declared.lstrip("0") or "0"
+        # int() refuses over 4300 digits; over 8 digits is too large anyway.
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self._send_json(413, {"error": "body too large"}, close=True)
+            return None
+        return self.rfile.read(int(digits))
 
     def _submission_response(self, job, created: bool) -> None:
         self._send_json(

@@ -1,10 +1,13 @@
 """Pure arithmetic/branch semantics shared by the VM, the replayer, and the
 virtual processor.
 
-Keeping these as side-effect-free functions guarantees that the recorder's
-machine, the per-thread replayer, and the both-orders virtual processor all
-compute identically — a prerequisite for the paper's "compare the live-outs
-of two replays" classification to be meaningful.
+The predecoder (:mod:`repro.isa.predecode`) resolves each ALU instruction
+to its function in this table once, so the recorder's machine, the
+per-thread replayer and the both-orders virtual processor all compute
+identically — a prerequisite for the paper's "compare the live-outs of
+two replays" classification to be meaningful.  :func:`binary_op` and
+:func:`branch_taken` are the per-step, mnemonic-keyed forms the
+operand-object interpreters in ``tests/oracles/`` use.
 
 Semantics notes:
 

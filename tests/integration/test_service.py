@@ -10,6 +10,7 @@ sharing a journal file.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -26,6 +27,11 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     make_server,
+)
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    AnalysisHTTPServer,
+    AnalysisRequestHandler,
 )
 from repro.service.queue import QueueFull
 from repro.workloads.suite import Execution, all_workloads
@@ -214,6 +220,95 @@ class TestErrors:
         with pytest.raises(ServiceError) as caught:
             client._json(*client._request("GET", "/nope"))
         assert caught.value.status == 404
+
+
+def _raw_exchange(server, request: bytes, timeout: float = 10.0) -> tuple:
+    """Send raw request bytes and read until the server closes:
+    ``(status, head, body)``.  A server that never answers or never
+    closes fails the test with ``socket.timeout`` instead of hanging it."""
+    with socket.create_connection(server.server_address[:2], timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head, "connection closed without a response"
+    return int(head.split(b" ", 2)[1]), head, body
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("path", ["/jobs", "/suppressions"])
+    @pytest.mark.parametrize("declared", ["-1", "abc", "12abc", "1_0"])
+    def test_rejected_with_400_and_closed(self, deployment, path, declared):
+        _, server, _ = deployment
+        status, head, body = _raw_exchange(
+            server,
+            (
+                "POST %s HTTP/1.1\r\nHost: test\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: %s\r\n\r\n{}" % (path, declared)
+            ).encode("ascii"),
+        )
+        assert status == 400
+        assert b"Connection: close" in head
+        error = json.loads(body)["error"]
+        assert "\n" not in error
+        assert "Content-Length" in error and declared in error
+
+    @pytest.mark.parametrize(
+        "declared",
+        [str(MAX_BODY_BYTES + 1), "0" * 20 + str(MAX_BODY_BYTES + 1), "9" * 5000],
+        ids=["max-plus-one", "zero-padded", "5000-digits"],
+    )
+    def test_oversized_rejected_with_413_and_closed(self, deployment, declared):
+        _, server, _ = deployment
+        status, head, body = _raw_exchange(
+            server,
+            (
+                "POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: %s\r\n\r\n"
+                % declared
+            ).encode("ascii"),
+        )
+        assert status == 413
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "body too large"}
+
+    def test_server_keeps_serving_after_rejection(self, deployment):
+        _, server, client = deployment
+        _raw_exchange(
+            server,
+            b"POST /jobs HTTP/1.1\r\nHost: test\r\nContent-Length: -5\r\n\r\n",
+        )
+        assert client.health()["status"] == "ok"
+
+
+class TestSocketOptions:
+    def test_accepted_socket_disables_nagle(self, deployment):
+        service, _, _ = deployment
+        nodelay = []
+
+        class Probe(AnalysisRequestHandler):
+            def setup(self):
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+
+        server = AnalysisHTTPServer(service, "127.0.0.1", 0)
+        server.RequestHandlerClass = Probe
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            assert ServiceClient(server.url).health()["status"] == "ok"
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert nodelay and all(nodelay)
 
 
 class TestObservability:

@@ -2,10 +2,13 @@
 paths are diffed against.  Nothing under ``src/`` imports them."""
 
 from .generic_interpreters import (
+    VP_DIFF_CONFIGS,
     GenericMachine,
     GenericOrderedReplay,
     GenericThreadReplayer,
     GenericThreadState,
+    GenericVirtualProcessor,
+    diff_virtual_processors,
     generic_record_run,
     generic_replay_thread,
 )
@@ -21,10 +24,13 @@ from .naive_detector import (
 )
 
 __all__ = [
+    "VP_DIFF_CONFIGS",
     "GenericMachine",
     "GenericOrderedReplay",
     "GenericThreadReplayer",
     "GenericThreadState",
+    "GenericVirtualProcessor",
+    "diff_virtual_processors",
     "generic_record_run",
     "generic_replay_thread",
     "NaiveHappensBeforeDetector",

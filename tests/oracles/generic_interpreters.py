@@ -1,22 +1,28 @@
-"""The generic interpreters: the record and replay stages' oracle.
+"""The generic interpreters: the record, replay and VP stages' oracle.
 
 The shipped machine (``ThreadState.step_fast``) and thread replayer
 (``ThreadReplayer.run_fast``) dispatch on predecoded records, capture
-accesses into columns and reconstruct register snapshots lazily.  The
-interpreters here are the seed's operand-object versions of both: every
-step re-reads the instruction's opcode and operand objects, every access
-becomes a :class:`ReplayedAccess`, and every region boundary and memory
-access takes an eager register snapshot.  They reach the production
-classes by subclassing, so they share only the machine's observer
-fan-out and lifecycle hooks, the recorder, the logged-load lookup
-(``ThreadReplayer._replay_load``) and the region-ordered walk with the
-paths they check:
+accesses into columns and reconstruct register snapshots lazily; the
+virtual processor's run loop (``VirtualProcessor._run``) dispatches on
+the same records.  The interpreters here are the seed's operand-object
+versions of all three: every step re-reads the instruction's opcode and
+operand objects, every replayed access becomes a :class:`ReplayedAccess`,
+and every region boundary and memory access takes an eager register
+snapshot.  They reach the production classes by subclassing, so they
+share only the machine's observer fan-out and lifecycle hooks, the
+recorder, the logged-load lookup (``ThreadReplayer._replay_load``), the
+region-ordered walk and the VP's phase schedule, memory image and
+address checks with the paths they check:
 
 * :class:`GenericMachine` / :func:`generic_record_run` — recording;
 * :class:`GenericThreadReplayer` / :func:`generic_replay_thread` —
   isolated thread replay;
 * :class:`GenericOrderedReplay` — the ordered walk and the access index
-  fed from those eager replays, never from captured columns.
+  fed from those eager replays, never from captured columns;
+* :class:`GenericVirtualProcessor` — the classifier's both-orders
+  region replay, stepping each instruction through ``_step``/``_execute``
+  instead of the predecoded run loop; :func:`diff_virtual_processors`
+  diffs the two on every instance of a replay.
 
 Run as a script it records a program the way ``repro record`` does and
 writes the log through ``save_log``, so the CLI's log bytes can be
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set
 
@@ -38,10 +45,20 @@ from repro.isa import assemble
 from repro.isa.instructions import Instruction
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.program import StaticInstructionId
+from repro.race.classifier import RaceClassifier
 from repro.record import Recorder, save_log
 from repro.record.log import ReplayLog
-from repro.replay import OrderedReplay, ReplayDivergence, ThreadReplayer
+from repro.replay import (
+    OrderedReplay,
+    ReplayDivergence,
+    ReplayFailure,
+    ReplayFailureKind,
+    ThreadReplayer,
+    VirtualProcessor,
+    VPConfig,
+)
 from repro.replay.events import HeapEvent, ReplayedAccess, ThreadReplay
+from repro.replay.virtual_processor import _VPMemory, _VPThread
 from repro.vm import alu
 from repro.vm.errors import DeadlockError, MemoryFault, ScheduleError, StepLimitError
 from repro.vm.machine import Machine, MachineResult
@@ -583,6 +600,296 @@ class GenericOrderedReplay(OrderedReplay):
         if self._access_index is None:
             self._access_index = GenericAccessIndex(self)
         return self._access_index
+
+
+# ----------------------------------------------------------------------
+# Classify: the operand-object virtual processor.
+# ----------------------------------------------------------------------
+
+
+def vp_load_is_logged(thread: _VPThread) -> bool:
+    """Should the load at the thread's current step come from the log?"""
+    if thread.spec.recorded_loads is None:
+        return False
+    if thread.follow_log:
+        return True
+    return thread.steps < thread.spec.racing_step_offset
+
+
+def vp_at_region_end(thread: _VPThread) -> bool:
+    """True when the thread's next instruction closes its region."""
+    if thread.done:
+        return True
+    if thread.pc >= len(thread.block):
+        return True
+    instruction = thread.block.instruction_at(thread.pc)
+    return instruction.spec.is_sequencer_point
+
+
+class GenericVirtualProcessor(VirtualProcessor):
+    """Interprets every VP step by decoding its operand objects.
+
+    It shares the phase schedule, the prefix fast-forward, the memory
+    image and the address checks with :class:`VirtualProcessor`, and
+    replaces its one predecoded run loop with the per-step
+    ``_step``/``_execute`` pair.
+    """
+
+    #: Stores executed so far (the spin cutoff restarts on each).
+    stores = 0
+
+    def _run(self, thread: _VPThread, memory: _VPMemory, until) -> None:
+        if until is None:
+            self._run_to_region_end(thread, memory)
+        elif until > thread.spec.racing_step_offset:
+            self._step(thread, memory)  # the racing step
+        else:
+            # The prefix; ``run`` fails a region that ends short of it.
+            while thread.steps < until and not vp_at_region_end(thread):
+                self._step(thread, memory)
+
+    def _run_to_region_end(self, thread: _VPThread, memory: _VPMemory) -> None:
+        if thread.follow_log:
+            # A log-following thread's loads are keyed by step number, so a
+            # repeated (pc, registers) state does *not* imply repetition;
+            # cycle detection is sound only for live threads.
+            while not vp_at_region_end(thread):
+                self._step(thread, memory)
+            return
+        seen: Optional[Set] = None
+        stores_seen = -1
+        while not vp_at_region_end(thread):
+            if thread.steps >= self._SPIN_CHECK_AFTER:
+                if self.stores != stores_seen:
+                    stores_seen = self.stores
+                    seen = set()
+                state = (thread.pc, thread.registers.snapshot())
+                if state in seen:
+                    raise ReplayFailure(
+                        ReplayFailureKind.STEP_LIMIT,
+                        "%s exceeded %d steps"
+                        % (thread.name, self.config.step_limit),
+                    )
+                seen.add(state)
+            self._step(thread, memory)
+
+    def _read(self, address: int, memory: _VPMemory) -> int:
+        self._check_address(address)
+        values = memory.values
+        if address in values:
+            return values[address]
+        value = self.live_in.get(address)
+        if value is not None:
+            values[address] = value
+            return value
+        if self.config.allow_unknown_addresses:
+            memory.values[address] = 0
+            return 0
+        raise ReplayFailure(
+            ReplayFailureKind.UNKNOWN_ADDRESS,
+            "load of address %#x absent from the recorded live-in image" % address,
+        )
+
+    def _write(self, address: int, value: int, memory: _VPMemory) -> None:
+        self._check_address(address)
+        memory.store(address, value)
+
+    def _step(self, thread: _VPThread, memory: _VPMemory) -> None:
+        if thread.done:
+            return
+        if thread.steps >= self.config.step_limit:
+            raise ReplayFailure(
+                ReplayFailureKind.STEP_LIMIT,
+                "%s exceeded %d steps" % (thread.name, self.config.step_limit),
+            )
+        pc = thread.pc
+        if pc >= len(thread.block) or pc < 0:
+            thread.done = True
+            return
+        if (
+            pc not in thread.spec.pc_footprint
+            and not thread.follow_log
+            and not self.config.allow_unrecorded_control_flow
+        ):
+            raise ReplayFailure(
+                ReplayFailureKind.UNRECORDED_CONTROL_FLOW,
+                "%s reached pc %d of block %r, never executed in the recording"
+                % (thread.name, pc, thread.block.name),
+            )
+        instruction = thread.block.instruction_at(pc)
+        if instruction.spec.is_sequencer_point:
+            # Region boundary: never execute the boundary instruction.
+            thread.done = True
+            return
+        thread.executed.append(thread.block.static_id(pc))
+        thread.pc = self._execute(instruction, thread, memory)
+        thread.steps += 1
+
+    def _execute(
+        self, instruction: Instruction, thread: _VPThread, memory: _VPMemory
+    ) -> int:
+        opcode = instruction.opcode
+        operands = instruction.operands
+        registers = thread.registers
+        pc = thread.pc
+
+        def reg(operand) -> int:
+            return registers.read(operand.index)
+
+        def mem_address(operand: Mem) -> int:
+            base = registers.read(operand.base) if operand.base is not None else 0
+            return base + operand.offset
+
+        if opcode == "li":
+            registers.write(operands[0].index, operands[1].value)
+        elif opcode == "mov":
+            registers.write(operands[0].index, reg(operands[1]))
+        elif alu.is_binary_op(opcode):
+            rhs = (
+                operands[2].value
+                if isinstance(operands[2], Imm)
+                else reg(operands[2])
+            )
+            registers.write(
+                operands[0].index, alu.binary_op(opcode, reg(operands[1]), rhs)
+            )
+        elif opcode == "load":
+            address = mem_address(operands[1])
+            if vp_load_is_logged(thread):
+                recorded = thread.spec.recorded_loads.get(thread.steps)
+                if recorded is None or recorded[0] != address:
+                    raise ReplayFailure(
+                        ReplayFailureKind.DIVERGENCE,
+                        "%s logged load at step %d has no matching log record"
+                        % (thread.name, thread.steps),
+                    )
+                value = recorded[1]
+                memory.seed(address, value)
+            else:
+                value = self._read(address, memory)
+            if thread.steps == thread.spec.racing_step_offset:
+                thread.racing_value = value
+            registers.write(operands[0].index, value)
+        elif opcode == "store":
+            value = reg(operands[0])
+            if thread.steps == thread.spec.racing_step_offset:
+                thread.racing_value = value
+            address = mem_address(operands[1])
+            if thread.follow_log:
+                # The recording proves this store was legal; skip checks.
+                memory.store(address, value)
+            else:
+                self._write(address, value, memory)
+            self.stores += 1
+        elif opcode == "jmp":
+            return operands[0].value
+        elif opcode in ("beq", "bne", "blt", "bge"):
+            if alu.branch_taken(opcode, reg(operands[0]), reg(operands[1])):
+                return operands[2].value
+        elif opcode in ("beqz", "bnez"):
+            if alu.branch_taken(opcode, reg(operands[0])):
+                return operands[1].value
+        elif opcode == "halt":
+            thread.done = True
+            return pc
+        elif opcode == "nop":
+            pass
+        else:  # pragma: no cover - sequencer points are intercepted in _step
+            raise ReplayFailure(
+                ReplayFailureKind.DIVERGENCE,
+                "sequencer-point opcode %r reached _execute" % opcode,
+            )
+        return pc + 1
+
+
+def vp_result(processor: VirtualProcessor, first: str, follow_log: bool):
+    """One VP run as comparable data: every :class:`VPOutcome` field, or
+    the failure's ``(kind, detail)``."""
+    try:
+        outcome = processor.run(first=first, follow_log=follow_log)
+    except ReplayFailure as failure:
+        return ("failure", failure.kind, failure.detail)
+    return ("outcome", vars(outcome))
+
+
+#: VP settings the processors are diffed under: each ``allow_*`` flag off
+#: and on, plus step limits below and just above the spin-check threshold.
+VP_DIFF_CONFIGS = tuple(
+    VPConfig(
+        allow_unrecorded_control_flow=allow_control_flow,
+        allow_unknown_addresses=allow_unknown,
+    )
+    for allow_control_flow in (False, True)
+    for allow_unknown in (False, True)
+) + (VPConfig(step_limit=12), VPConfig(step_limit=70))
+
+
+def diff_virtual_processors(
+    ordered: OrderedReplay,
+    instances,
+    configs=VP_DIFF_CONFIGS,
+    interpret_prefixes: bool = True,
+) -> List[str]:
+    """Run every instance through :class:`VirtualProcessor` and
+    :class:`GenericVirtualProcessor` and list each disagreement.
+
+    Each canonicalized instance replays in both orders, log-following
+    and live, under every config in ``configs``, with the classifier's
+    specs (live replays fast-forward the prefix) and, when
+    ``interpret_prefixes``, with the prefix state stripped so the live
+    replays interpret every prefix step too.
+    """
+    classifier = RaceClassifier(ordered)
+    diffs: List[str] = []
+    for instance in instances:
+        instance = classifier._canonicalize(instance)
+        live_in, freed = ordered.pair_snapshot(instance.region_a, instance.region_b)
+        specs = (
+            classifier._thread_spec(instance.access_a, instance.region_a),
+            classifier._thread_spec(instance.access_b, instance.region_b),
+        )
+        stripped = tuple(
+            replace(
+                spec,
+                racing_registers=None,
+                racing_pc=None,
+                prefix_accesses=None,
+                prefix_static_ids=None,
+            )
+            for spec in specs
+        )
+        variants = (specs, stripped) if interpret_prefixes else (specs,)
+        for config in configs:
+            for spec_a, spec_b in variants:
+                fast = VirtualProcessor(
+                    ordered.program, live_in, freed, spec_a, spec_b, config
+                )
+                generic = GenericVirtualProcessor(
+                    ordered.program, live_in, freed, spec_a, spec_b, config
+                )
+                # Following the log never fast-forwards, so the stripped
+                # specs replay it exactly as the classifier's do.
+                follows = (True, False) if spec_a is specs[0] else (False,)
+                for first in (spec_a.thread_name, spec_b.thread_name):
+                    for follow_log in follows:
+                        expected = vp_result(generic, first, follow_log)
+                        got = vp_result(fast, first, follow_log)
+                        if got != expected:
+                            diffs.append(
+                                "%s first=%s follow_log=%s %s prefix=%s: %r != %r"
+                                % (
+                                    instance.static_key,
+                                    first,
+                                    follow_log,
+                                    config,
+                                    "recorded"
+                                    if spec_a.racing_registers is not None
+                                    else "interpreted",
+                                    got,
+                                    expected,
+                                )
+                            )
+    return diffs
 
 
 def main(argv: List[str]) -> int:

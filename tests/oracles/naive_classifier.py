@@ -2,12 +2,13 @@
 
 Every instance is classified on its own, over a freshly materialized
 pair snapshot, with both orders interpreted instruction by instruction
-in the virtual processor: no verdict cache, no batches, no
-recorded-original synthesis, no prefix fast-forward and no spin-cycle
-cutoff.  It reaches those settings by subclassing the production
-classes, so it shares only the per-instance both-orders comparison
-(``_classify_with_state``), the recorded thread inputs and the VP
-interpreter with the path it checks.
+by the operand-object virtual processor
+(``GenericVirtualProcessor``): no verdict cache, no batches, no
+recorded-original synthesis, no prefix fast-forward, no spin-cycle
+cutoff and no predecoded dispatch.  It reaches those settings by
+subclassing the production classes, so it shares only the per-instance
+both-orders comparison (``_classify_with_state``), the recorded thread
+inputs and the VP's phase schedule with the path it checks.
 
 Run as a script it prints a log's canonical ``repro analyze`` report,
 so the CLI can be byte-diffed against it::
@@ -40,12 +41,18 @@ from repro.vm import RandomScheduler
 from repro.workloads.base import Workload
 from repro.workloads.suite import Execution
 
+try:
+    from .generic_interpreters import GenericVirtualProcessor, vp_at_region_end
+except ImportError:  # run as a script: this directory is sys.path[0]
+    from generic_interpreters import GenericVirtualProcessor, vp_at_region_end
 
-class NaiveVirtualProcessor(VirtualProcessor):
-    """Runs every suffix to its region end: no spin-cycle cutoff."""
+
+class NaiveVirtualProcessor(GenericVirtualProcessor):
+    """The operand-object VP running every suffix to its region end: no
+    spin-cycle cutoff."""
 
     def _run_to_region_end(self, thread, memory) -> None:
-        while not thread.at_region_end():
+        while not vp_at_region_end(thread):
             self._step(thread, memory)
 
 

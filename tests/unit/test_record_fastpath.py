@@ -14,6 +14,8 @@ import pytest
 
 from repro.analysis.access_index import AccessIndex
 from repro.isa import assemble
+from repro.isa.instructions import OPCODES, I, L, M, R
+from repro.isa.predecode import MEMORY_TOUCHING_KINDS, SEQUENCER_KINDS
 from repro.record import Recorder, record_run
 from repro.record.binary_format import (
     BINARY_FORMAT_VERSION,
@@ -99,6 +101,29 @@ class TestFastPathEdgeCases:
             )
             assert fast[1] == slow[1]
             assert fast[0].threads == slow[0].threads
+
+
+class TestPredecodeKindSets:
+    def test_kind_sets_match_the_opcode_specs(self):
+        # One instruction of every opcode: the kind sets the replay fast
+        # path and the virtual processor dispatch on must agree with the
+        # opcode table's flags.
+        operand = {R: "r1", I: "1", M: "[x]", L: "end"}
+        body = [
+            "    %s %s" % (name, ", ".join(operand[kind] for kind in spec.signature))
+            for name, spec in OPCODES.items()
+        ]
+        program = assemble(
+            ".data\nx: .word 0\n.thread t\n" + "\n".join(body) + "\nend:\n    halt\n"
+        )
+        block = program.blocks["t"]
+        assert {block.instruction_at(i).opcode for i in range(len(OPCODES))} == set(
+            OPCODES
+        )
+        for index, record in enumerate(block.decoded()):
+            spec = block.instruction_at(index).spec
+            assert (record[0] in SEQUENCER_KINDS) == spec.is_sequencer_point, spec.name
+            assert (record[0] in MEMORY_TOUCHING_KINDS) == spec.touches_memory, spec.name
 
 
 class TestCapturedAccessIndex:

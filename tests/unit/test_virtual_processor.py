@@ -1,5 +1,7 @@
 """Unit tests for the both-orders virtual processor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.isa import assemble
@@ -13,8 +15,10 @@ from repro.replay import (
     VirtualProcessor,
     same_state,
 )
+from oracles import GenericVirtualProcessor, diff_virtual_processors
+from oracles.generic_interpreters import vp_result
 from repro.race.happens_before import find_races
-from repro.vm import RandomScheduler
+from repro.vm import ExplicitScheduler, RandomScheduler
 
 
 def setup_vp(source, seed=3, config=None, instance_index=0, name="vp"):
@@ -62,6 +66,18 @@ x: .word 10
     halt
 """
 
+PREFIXED_RMW = """
+.data
+x: .word 10
+.thread a b
+    li r2, 1
+    li r3, 2
+    load r1, [x]
+    addi r1, r1, 1
+    store r1, [x]
+    halt
+"""
+
 SAME_VALUE = """
 .data
 x: .word 7
@@ -69,6 +85,150 @@ x: .word 7
     li r1, 7
     store r1, [x]
     load r2, [x]
+    halt
+"""
+
+POINTER_PUBLISH = """
+.data
+p: .word 0
+.thread w
+    li r1, 0x9999
+    store r1, [p]
+    halt
+.thread r
+    load r1, [p]
+    load r2, [r1]
+    halt
+"""
+
+SPIN_ON_FLAG = """
+.data
+flag: .word 0
+data: .word 0
+.thread r
+    load r2, [data]
+wait:
+    load r1, [flag]
+    beqz r1, wait
+    halt
+.thread w
+    li r1, 1
+    store r1, [data]
+    store r1, [flag]
+    halt
+"""
+
+STALE_POINTER = """
+.data
+p: .word 0x8888
+sink: .word 0
+.thread w
+    li r1, 0x9999
+    store r1, [p]
+    halt
+.thread r
+    li r9, 30
+d:
+    subi r9, r9, 1
+    bnez r9, d
+    load r1, [p]
+    load r2, [r1+0]
+    store r2, [sink]
+    halt
+"""
+
+GUARDED_PATH = """
+.data
+guard: .word 0
+.thread w
+    li r1, 1
+    store r1, [guard]
+    halt
+.thread r
+    li r9, 25
+d:
+    subi r9, r9, 1
+    bnez r9, d
+    load r1, [guard]
+    beqz r1, skip
+    li r2, 111
+skip:
+    halt
+"""
+NULL_POINTER_STORE = """
+.data
+p: .word 0
+.thread w
+    li r13, 4
+    sys_alloc r12, r13
+    store r12, [p]
+    halt
+.thread r
+    load r1, [p]
+    li r2, 9
+    store r2, [r1+0]
+    halt
+"""
+
+FENCED = """
+.data
+x: .word 0
+.thread a
+    li r1, 1
+    store r1, [x]
+    fence
+    li r2, 2
+    halt
+.thread b
+    load r1, [x]
+    fence
+    li r3, 3
+    halt
+"""
+
+FREED_POINTER = """
+.data
+p: .word 0
+.thread w
+    li r13, 4
+    sys_alloc r12, r13
+    li r1, 5
+    store r1, [r12+0]
+    store r12, [p]
+    sys_free r12
+    li r1, 0
+    store r1, [p]
+    halt
+.thread r
+    load r1, [p]
+    beqz r1, done
+    load r2, [r1+0]
+done:
+    halt
+"""
+
+STORE_THEN_RETRY = """
+.data
+x: .word 0
+y: .word 0
+.thread w
+    li r1, 5
+    store r1, [y]
+    halt
+.thread r
+    load r3, [y]
+    li r9, 40
+d:
+    subi r9, r9, 1
+    bnez r9, d
+    li r2, 1
+top:
+    load r1, [x]
+    bnez r1, out
+    store r2, [x]
+    li r1, 0
+    jmp top
+out:
     halt
 """
 
@@ -110,6 +270,21 @@ class TestBothOrders:
         program, instance, live_in, processor = setup_vp(RACY_RMW)
         with pytest.raises(ValueError):
             processor.run(first="ghost")
+
+    def test_unknown_first_thread_rejected_before_any_phase(self):
+        # Both prefixes exceed the step limit, so a bad ``first`` checked
+        # after phase 1 would surface as that ReplayFailure instead.
+        program, instance, live_in, processor = setup_vp(
+            PREFIXED_RMW, config=VPConfig(step_limit=1)
+        )
+        for follow_log in (True, False):
+            with pytest.raises(ReplayFailure) as failure:
+                processor.run(
+                    first=instance.access_a.thread_name, follow_log=follow_log
+                )
+            assert failure.value.kind is ReplayFailureKind.STEP_LIMIT
+            with pytest.raises(ValueError, match="unknown first thread 'ghost'"):
+                processor.run(first="ghost", follow_log=follow_log)
 
 
 class TestSameState:
@@ -163,19 +338,21 @@ class TestSameState:
 
 
 class TestReplayFailures:
+    def test_store_between_repeated_states_is_not_a_spin(self):
+        # Past the spin-check threshold the reader's suffix revisits the
+        # same (pc, registers) state at ``top``, but a store to x lies in
+        # between and the retry then exits: no STEP_LIMIT failure.
+        program, instance, live_in, processor = setup_vp(
+            STORE_THEN_RETRY, seed=2, name="retry"
+        )
+        for first in (instance.access_a.thread_name, instance.access_b.thread_name):
+            for follow_log in (True, False):
+                outcome = processor.run(first=first, follow_log=follow_log)
+                assert outcome.end_pcs["r"] == len(program.blocks["r"]) - 1
+                assert outcome.steps["r"] > 64
+
     def test_unknown_address_fails(self):
-        source = """
-.data
-p: .word 0
-.thread w
-    li r1, 0x9999
-    store r1, [p]
-    halt
-.thread r
-    load r1, [p]
-    load r2, [r1]
-    halt
-"""
+        source = POINTER_PUBLISH
         # Race on p: in the alternative order the reader dereferences
         # 0x9999, an address absent from the recorded live-in image —
         # OR the original reader read 0 and faulted.  Either way some
@@ -199,22 +376,7 @@ p: .word 0
         # reader is declared first, so its suffix replays before the
         # writer's: the alternative-order replay wedges in the spin and
         # hits the step limit.
-        source = """
-.data
-flag: .word 0
-data: .word 0
-.thread r
-    load r2, [data]
-wait:
-    load r1, [flag]
-    beqz r1, wait
-    halt
-.thread w
-    li r1, 1
-    store r1, [data]
-    store r1, [flag]
-    halt
-"""
+        source = SPIN_ON_FLAG
         program = assemble(source, name="spin")
         _, log = record_run(program, scheduler=RandomScheduler(seed=3), seed=3)
         ordered = OrderedReplay(log, program)
@@ -233,24 +395,7 @@ wait:
         ), [c.describe() for c in outcomes]
 
     def test_unknown_address_extension_reads_zero(self):
-        source = """
-.data
-p: .word 0x8888
-sink: .word 0
-.thread w
-    li r1, 0x9999
-    store r1, [p]
-    halt
-.thread r
-    li r9, 30
-d:
-    subi r9, r9, 1
-    bnez r9, d
-    load r1, [p]
-    load r2, [r1+0]
-    store r2, [sink]
-    halt
-"""
+        source = STALE_POINTER
         # In the alternative order the reader dereferences the stale
         # 0x8888 pointer — an address absent from the live-in image.
         # Baseline: UNKNOWN_ADDRESS failure.  With
@@ -276,24 +421,7 @@ d:
         assert extended.failure_kind is not ReplayFailureKind.UNKNOWN_ADDRESS
 
     def test_unrecorded_control_flow_fails_without_extension(self):
-        source = """
-.data
-guard: .word 0
-.thread w
-    li r1, 1
-    store r1, [guard]
-    halt
-.thread r
-    li r9, 25
-d:
-    subi r9, r9, 1
-    bnez r9, d
-    load r1, [guard]
-    beqz r1, skip
-    li r2, 111
-skip:
-    halt
-"""
+        source = GUARDED_PATH
         # Reader originally sees guard=1 (delay) and takes the r2 path; the
         # alternative order reads 0 and goes down the skip edge... both pcs
         # are in the footprint (skip: halt is executed either way), so pick
@@ -318,3 +446,111 @@ skip:
             ordered, config=ClassifierConfig(allow_unrecorded_control_flow=True)
         ).classify_instance(instances[0])
         assert extended.failure_kind is None
+
+    def test_null_pointer_store_fails(self):
+        # The reader runs after the writer published a heap pointer; in
+        # the alternative order it stores through the live-in null.
+        program = assemble(NULL_POINTER_STORE, name="nullstore")
+        _, log = record_run(program, scheduler=ExplicitScheduler([0] * 6 + [1] * 6))
+        ordered = OrderedReplay(log, program)
+        from repro.race.classifier import RaceClassifier
+
+        (outcome,) = RaceClassifier(ordered).classify_all(find_races(ordered))
+        assert outcome.failure_kind is ReplayFailureKind.MEMORY_FAULT
+        assert outcome.failure_detail == "null dereference"
+
+    def test_logged_load_at_another_address_diverges(self):
+        # A log record whose address disagrees with the replayed load is a
+        # divergence, in the predecoded loop and the oracle alike.
+        program, instance, live_in, processor = setup_vp(RACY_RMW)
+        spec_a = replace(processor.spec_a, recorded_loads={0: (0xDEAD, 5)})
+        spec_b = processor.spec_b
+        results = [
+            vp_result(
+                vp_class(program, live_in, {}, spec_a, spec_b),
+                spec_a.thread_name,
+                follow_log=True,
+            )
+            for vp_class in (VirtualProcessor, GenericVirtualProcessor)
+        ]
+        assert results[0] == results[1] == (
+            "failure",
+            ReplayFailureKind.DIVERGENCE,
+            "%s logged load at step 0 has no matching log record" % spec_a.thread_name,
+        )
+
+    def test_use_after_free_fails(self):
+        # The writer publishes a heap pointer, frees the buffer, then
+        # clears the pointer; the reader runs after and sees null.  In the
+        # alternative order the reader loads the stale pointer, and on the
+        # fresh (unrecorded) dereference path it touches freed memory.
+        program = assemble(FREED_POINTER, name="uaf")
+        _, log = record_run(program, scheduler=ExplicitScheduler([0] * 12 + [1] * 10))
+        ordered = OrderedReplay(log, program)
+        from repro.race.classifier import RaceClassifier, ClassifierConfig
+
+        failures = {
+            outcome.failure_kind
+            for outcome in RaceClassifier(
+                ordered, config=ClassifierConfig(allow_unrecorded_control_flow=True)
+            ).classify_all(find_races(ordered))
+        }
+        assert ReplayFailureKind.MEMORY_FAULT in failures
+
+
+#: (name, source, scheduler factory, record seed): every program above,
+#: recorded the way its test records it.
+ORACLE_CASES = [
+    ("rmw", RACY_RMW, lambda: RandomScheduler(seed=3, switch_probability=0.4), 3),
+    (
+        "prefixed_rmw",
+        PREFIXED_RMW,
+        lambda: RandomScheduler(seed=3, switch_probability=0.4),
+        3,
+    ),
+    (
+        "same_value",
+        SAME_VALUE,
+        lambda: RandomScheduler(seed=3, switch_probability=0.4),
+        3,
+    ),
+    (
+        "pointer_publish",
+        POINTER_PUBLISH,
+        lambda: RandomScheduler(seed=1, switch_probability=0.4),
+        1,
+    ),
+    ("spin_on_flag", SPIN_ON_FLAG, lambda: RandomScheduler(seed=3), 3),
+    ("stale_pointer", STALE_POINTER, lambda: ExplicitScheduler([0] * 8 + [1] * 80), 0),
+    ("guarded_path", GUARDED_PATH, lambda: ExplicitScheduler([1] * 60 + [0] * 10), 0),
+    (
+        "null_pointer_store",
+        NULL_POINTER_STORE,
+        lambda: ExplicitScheduler([0] * 6 + [1] * 6),
+        0,
+    ),
+    ("fenced", FENCED, lambda: RandomScheduler(seed=3, switch_probability=0.4), 3),
+    ("freed_pointer", FREED_POINTER, lambda: ExplicitScheduler([0] * 12 + [1] * 10), 0),
+    (
+        "store_then_retry",
+        STORE_THEN_RETRY,
+        lambda: RandomScheduler(seed=2, switch_probability=0.4),
+        2,
+    ),
+]
+
+
+class TestMatchesGenericOracle:
+    """The predecoded run loop against ``GenericVirtualProcessor`` on the
+    programs above, which reach every replay-failure kind."""
+
+    @pytest.mark.parametrize(
+        "name, source, scheduler, seed", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES]
+    )
+    def test_identical_outcomes_and_failures(self, name, source, scheduler, seed):
+        program = assemble(source, name=name)
+        _, log = record_run(program, scheduler=scheduler(), seed=seed)
+        ordered = OrderedReplay(log, program)
+        instances = find_races(ordered)
+        assert instances
+        assert diff_virtual_processors(ordered, instances) == []
